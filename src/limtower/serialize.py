@@ -78,9 +78,12 @@ def tower_from_json(obj: dict) -> Tower:
         group = group_from_json(obj["group"])
         m = int(obj["multiplier"])
         return Tower((), (), ConstantEndo(group, multiplication_map(group, m)))
+    prefix = obj.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ValueError("tower field 'prefix' must be a list")
     groups = []
     maps = []
-    for i, entry in enumerate(obj.get("prefix", [])):
+    for i, entry in enumerate(prefix):
         groups.append(group_from_json(entry["group"]))
         mtp = entry.get("map_to_previous")
         if i == 0:
@@ -91,6 +94,8 @@ def tower_from_json(obj: dict) -> Tower:
                 raise ValueError(f"prefix entry {i} is missing map_to_previous")
             maps.append(map_from_json(mtp))
     tail_obj = obj.get("tail", {"kind": "zero"})
+    if not isinstance(tail_obj, dict):
+        raise ValueError("tower field 'tail' must be an object")
     kind = tail_obj.get("kind")
     if kind == "zero":
         tail: ConstantEndo | ZeroTail = ZeroTail()
@@ -107,6 +112,8 @@ def matrix_from_json(obj: dict) -> list[list[int]]:
     mat = [[int(v) for v in row] for row in obj["matrix"]]
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("matrix rows must have equal length")
+    if mat and not mat[0]:
+        raise ValueError("field 'matrix' has rows but no columns")
     return mat
 
 

@@ -412,11 +412,12 @@ def criterion_finite_ml(rng: random.Random, trials: int = 200) -> CheckResult:
 def criterion_shift_invariance() -> CheckResult:
     """Shifting drops a level; every status and the limit must survive."""
     for name, tw in corpus_towers():
+        view = analyze(tw).shift_invariant_view()
         shifted, _ = shift(tw)
-        if analyze(tw).shift_invariant_view() != analyze(shifted).shift_invariant_view():
+        if view != analyze(shifted).shift_invariant_view():
             return CheckResult("shift-invariance", False, f"corpus tower {name} changed under shift")
         twice, _ = shift(shifted)
-        if analyze(tw).shift_invariant_view() != analyze(twice).shift_invariant_view():
+        if view != analyze(twice).shift_invariant_view():
             return CheckResult("shift-invariance", False, f"corpus tower {name} changed under double shift")
     return CheckResult("shift-invariance", True, f"{len(corpus_towers())} corpus towers invariant under shifts")
 
@@ -875,13 +876,8 @@ def paper_examples_suite() -> list[CheckResult]:
     )
 
     # shift invariance across the whole corpus
-    out.append(
-        _scenario(
-            "shift-invariance-corpus",
-            criterion_shift_invariance().passed,
-            criterion_shift_invariance().detail,
-        )
-    )
+    shift_check = criterion_shift_invariance()
+    out.append(_scenario("shift-invariance-corpus", shift_check.passed, shift_check.detail))
 
     # walker scenarios
     ctx1 = wk.WalkerContext(2, parse_ordinal("1"))

@@ -18,7 +18,7 @@ of the previous one under the same maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 from .groups import (
@@ -439,10 +439,12 @@ def _tail_never_witness(tail: TailSpec) -> str | None:
     for row in basis:
         w = [sum(ebar[i][j] * row[j] for j in range(r)) for i in range(r)]
         coeffs = lattice_solve(basis, w)
-        assert coeffs is not None  # e maps the eventual image lattice into itself
+        if coeffs is None:
+            raise RuntimeError("tail map does not preserve its eventual image lattice")
         c_rows.append(coeffs)
     d = abs_det(c_rows)
-    assert d != 0  # e is invertible on the eventual rational image
+    if d == 0:
+        raise RuntimeError("tail map is singular on its eventual rational image")
     if d >= 2:
         return f"image lattice covolume grows by {d} per step on the eventual free part"
     return None
@@ -494,55 +496,72 @@ class _Stabilization:
     status: MLStatus
     length: LengthValue
     stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
-    finite_chain: tuple[tuple[Subgroup, ...], ...]  # stages 0..deepest computed
+    finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
     omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
 
 
-@lru_cache(maxsize=256)
+def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
+    """subs and its successive image steps, ending before the first repeat.
+
+    Level i of the next stage is the image of level min(i+1, c) under f_i,
+    so it is recomputed only when that level moved in the last step and
+    reused otherwise.  A recomputed level equal to the old one is replaced
+    by the old object, so `is` tells which levels moved.
+    """
+    c = s.stable_index
+    moved = [True] * (c + 1)
+    while True:
+        yield subs
+        nxt = []
+        for i in range(c + 1):
+            upper = min(i + 1, c)
+            if moved[upper]:
+                img = image_of_subgroup(s.step_map(i), subs[upper])
+                nxt.append(subs[i] if img == subs[i] else img)
+            else:
+                nxt.append(subs[i])
+        moved = [a is not b for a, b in zip(nxt, subs)]
+        if not any(moved):
+            return
+        subs = tuple(nxt)
+
+
 def _stabilize(s: Tower, horizon: int) -> _Stabilization:
+    """Decide the image chain once; `analyze` shares the result.
+
+    A never-stabilizes witness settles the verdict without any finite
+    stage: a multiplication tail goes straight to its omega stage, and any
+    other witnessed tail has length at least omega, past every horizon.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     witness = _tail_never_witness(s.tail)
-    chain = [_full_stage(s)]
     if witness is None:
-        for n in range(horizon + 1):
-            nxt = _image_step(s, chain[-1])
-            if nxt == chain[-1]:
-                return _Stabilization(
-                    MLStatus("stabilized", stage=n),
-                    LengthValue("exact", ord_from_int(n)),
-                    chain[-1],
-                    tuple(chain),
-                    None,
-                )
-            chain.append(nxt)
+        chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 2))
+        if len(chain) <= horizon + 1:  # stage n repeated for some n <= horizon
+            n = len(chain) - 1
+            return _Stabilization(
+                MLStatus("stabilized", stage=n),
+                LengthValue("exact", ord_from_int(n)),
+                chain[-1],
+                chain,
+                None,
+            )
         return _Stabilization(
             MLStatus("unknown", horizon=horizon),
             LengthValue("unknown_beyond", ord_from_int(horizon)),
             None,
-            tuple(chain),
+            chain,
             None,
         )
     status = MLStatus("never", witness=witness)
-    for _ in range(horizon):
-        chain.append(_image_step(s, chain[-1]))
     m = _tail_multiplier(s)
     if m is None:
-        return _Stabilization(
-            status,
-            LengthValue("unknown_beyond", ord_from_int(horizon)),
-            None,
-            tuple(chain),
-            None,
-        )
-    omega_chain = [_omega_stage_multiplication(s, m)]
-    while True:
-        nxt = _image_step(s, omega_chain[-1])
-        if nxt == omega_chain[-1]:
-            break
-        omega_chain.append(nxt)  # all levels finite here, so this terminates
+        return _Stabilization(status, LengthValue("unknown_beyond", OMEGA), None, None, None)
+    # all levels of the omega stage are finite, so the chain terminates
+    omega_chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
     length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(omega_chain) - 1)))
-    return _Stabilization(status, length, omega_chain[-1], tuple(chain), tuple(omega_chain))
+    return _Stabilization(status, length, omega_chain[-1], None, omega_chain)
 
 
 def ml_check(s: Tower, horizon: int = DEFAULT_HORIZON) -> MLStatus:
@@ -565,14 +584,17 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
     image steps reach the stable stage).
     """
     st = _stabilize(s, horizon)
+    chain = st.finite_chain
+    if chain is None:  # witnessed: the verdict needed no finite stage
+        chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 1))
     if beta.is_finite():
         n = beta.to_int()
-        if n < len(st.finite_chain):
-            return FiltrationStage(beta, st.finite_chain[n], True, beta)
+        if n < len(chain):
+            return FiltrationStage(beta, chain[n], True, beta)
         if st.stable_subs is not None and st.status.kind == "stabilized":
             return FiltrationStage(beta, st.stable_subs, True, beta)
-        deepest = ord_from_int(len(st.finite_chain) - 1)
-        return FiltrationStage(beta, st.finite_chain[-1], False, deepest)
+        deepest = ord_from_int(len(chain) - 1)
+        return FiltrationStage(beta, chain[-1], False, deepest)
     if st.status.kind == "stabilized":
         assert st.stable_subs is not None
         return FiltrationStage(beta, st.stable_subs, True, beta)
@@ -582,8 +604,8 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
                 return FiltrationStage(beta, subs, True, beta)
         # beta is past every distinct stage, hence past the length
         return FiltrationStage(beta, st.omega_chain[-1], True, beta)
-    deepest = ord_from_int(len(st.finite_chain) - 1)
-    return FiltrationStage(beta, st.finite_chain[-1], False, deepest)
+    deepest = ord_from_int(len(chain) - 1)
+    return FiltrationStage(beta, chain[-1], False, deepest)
 
 
 def _restricted_endo(sub: Subgroup, endo: GroupMap) -> GroupMap:
@@ -607,9 +629,12 @@ def lim_lim1(
     never does: with countable levels, stabilization is equivalent to the
     vanishing of the derived limit.
     """
-    st = _stabilize(s, horizon)
+    return _lim_lim1(s, _stabilize(s, horizon))
+
+
+def _lim_lim1(s: Tower, st: _Stabilization) -> tuple[FgAbGroup | None, Lim1Status]:
     if st.status.kind == "unknown":
-        return None, Lim1Status("unknown", f"no stabilization within horizon {horizon}")
+        return None, Lim1Status("unknown", f"no stabilization within horizon {st.status.horizon}")
     lim1 = (
         Lim1Status("zero")
         if st.status.kind == "stabilized"
@@ -664,7 +689,10 @@ def is_local(s: Tower, horizon: int = DEFAULT_HORIZON) -> bool | None:
     (lim1 = 0) and the stable image is trivial (lim = 0), which together
     force I^N = 0 at a finite stage.
     """
-    st = _stabilize(s, horizon)
+    return _is_local(_stabilize(s, horizon))
+
+
+def _is_local(st: _Stabilization) -> bool | None:
     if st.status.kind == "stabilized":
         assert st.stable_subs is not None
         return all(sub.is_trivial() for sub in st.stable_subs)
@@ -757,7 +785,10 @@ def omega_completion_status(
     limits no level hits: incomplete, witnessed by r.  Anything else is
     outside the decision class.
     """
-    st = _stabilize(s, horizon)
+    return _omega_completion_status(s, _stabilize(s, horizon))
+
+
+def _omega_completion_status(s: Tower, st: _Stabilization) -> tuple[bool | None, int | None]:
     if st.status.kind == "stabilized":
         return True, None
     m = _tail_multiplier(s)
@@ -905,14 +936,15 @@ class AnalysisReport:
 
 def analyze(s: Tower, horizon: int = DEFAULT_HORIZON) -> AnalysisReport:
     """Run the whole battery once, sharing one stabilization pass."""
-    lim, lim1 = lim_lim1(s, horizon)
-    complete, witness = omega_completion_status(s, horizon)
+    st = _stabilize(s, horizon)
+    lim, lim1 = _lim_lim1(s, st)
+    complete, witness = _omega_completion_status(s, st)
     report = AnalysisReport(
-        ml_status=ml_check(s, horizon),
-        length=length(s, horizon),
+        ml_status=st.status,
+        length=st.length,
         lim=lim,
         lim1_status=lim1,
-        local=is_local(s, horizon),
+        local=_is_local(st),
         omega_complete=complete,
         omega_witness=witness,
         horizon=horizon,

@@ -118,6 +118,20 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, body, field",
+        [
+            ("analyze", {"prefix": 5}, "'prefix'"),
+            ("analyze", {"tail": []}, "'tail'"),
+            ("snf", {"matrix": [[]]}, "'matrix'"),
+        ],
+    )
+    def test_ill_typed_field_exit_two(self, tmp_path, capsys, command, body, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        assert main([command, str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_snf(self, matrix_file, capsys):
         assert main(["snf", matrix_file, "--json"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import random
+import weakref
+from itertools import islice
 
 import pytest
 
@@ -14,6 +18,7 @@ from limtower.groups import (
 from limtower.ordinals import OMEGA, ord_compare, ord_from_int, parse_ordinal
 from limtower.towers import (
     ConstantEndo,
+    LengthValue,
     Tower,
     ZeroTail,
     analyze,
@@ -41,8 +46,11 @@ from limtower.towers import (
     window_difference_map,
     window_shift_map,
 )
+from limtower.towers import _full_stage, _image_stages, _image_step
 from limtower.suites import (
+    random_decidable_tower,
     random_finite_tower,
+    random_local_tower,
     random_surjective_tower,
     thread_limit_oracle,
 )
@@ -133,6 +141,60 @@ class TestFiltration:
         st = transfinite_image(t, OMEGA)
         assert not st.exact
         assert st.computed_to is not None
+
+
+def witnessed_tail():
+    """Z^2 under an upper-triangular map with |det| = 6: witnessed, not a multiplication."""
+    z2 = fg_group(0, 0)
+    return Tower((), (), ConstantEndo(z2, GroupMap(z2, z2, ((2, 1), (0, 3)))))
+
+
+class TestStabilizationPass:
+    def test_witnessed_report_ignores_horizon(self):
+        t = witnessed_tail()
+        shallow, deep = analyze(t, horizon=1), analyze(t, horizon=128)
+        assert dataclasses.replace(shallow, horizon=128) == deep
+        assert deep.length == LengthValue("unknown_beyond", OMEGA)
+        assert str(deep.length) == "UnknownBeyond(w)"
+
+    def test_witnessed_transfinite_image_builds_finite_stages(self):
+        t = witnessed_tail()
+        horizon = 6
+        for n in range(horizon + 1):
+            st = transfinite_image(t, ord_from_int(n), horizon)
+            assert st.exact
+            assert st.subs == iterate_image(t, n).subs
+        st = transfinite_image(t, OMEGA, horizon)
+        assert not st.exact
+        assert st.computed_to == ord_from_int(horizon)
+        assert st.subs == iterate_image(t, horizon).subs
+
+    def test_changed_level_stepping_matches_full_step(self):
+        rng = random.Random(2024)
+        makers = (random_finite_tower, random_surjective_tower, random_local_tower, random_decidable_tower)
+        towers = [make(rng) for make in makers for _ in range(6)]
+        z2 = fg_group(0, 0)
+        maps = tuple(
+            GroupMap(z2, z2, tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2)))
+            for _ in range(15)
+        )
+        towers.append(Tower((z2,) * 16, maps, ConstantEndo(z2, identity_map(z2))))
+        for t in towers:
+            reference = [_full_stage(t)]
+            while len(reference) <= 40:
+                nxt = _image_step(t, reference[-1])
+                if nxt == reference[-1]:
+                    break
+                reference.append(nxt)
+            assert list(islice(_image_stages(t, _full_stage(t)), 41)) == reference
+
+    def test_analyze_keeps_no_reference_to_the_tower(self):
+        t = random_finite_tower(random.Random(7))
+        analyze(t)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
 
 
 class TestStatuses:
