@@ -2,8 +2,9 @@
 
 Subcommands: analyze, walker (normalize | height | ulm-probe), snf, suite.
 Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
-input errors.  JSON reports are schema versioned and byte deterministic;
-timing is emitted as null unless --timing is given.
+input errors, 3 on an internal error (a broken library invariant or any
+other unexpected exception).  JSON reports are schema versioned and byte
+deterministic; timing is emitted as null unless --timing is given.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 import time
 
-from .groups import abs_det, smith_normal_form
+from .groups import abs_det, mat_mul, smith_normal_form
 from .ordinals import parse_ordinal
 from .serialize import (
     SCHEMA_VERSION,
@@ -148,16 +149,9 @@ def _cmd_snf(args) -> int:
     started = time.monotonic()
     mat = matrix_from_json(_load_json_file(args.matrix))
     u, d, v = smith_normal_form(mat)
-
-    def mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-
+    n = len(v)
     certified = (
-        mul(mul([list(r) for r in u], [list(r) for r in mat]), [list(r) for r in v])
-        == [list(r) for r in d]
+        mat_mul(mat_mul(u, mat, n), v, n) == [list(r) for r in d]
         and abs_det(u) == 1
         and abs_det(v) == 1
     )
@@ -272,6 +266,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

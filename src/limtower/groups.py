@@ -42,15 +42,25 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def unit_vector(n: int, i: int, value: int = 1) -> list[int]:
+    """The length-n vector with `value` at position i and 0 elsewhere."""
+    vec = [0] * n
+    vec[i] = value
+    return vec
+
+
 def _eye(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [unit_vector(n, i) for i in range(n)]
 
 
-def _mat_mul(a: Matrix, b: Matrix, inner: int, cols: int) -> Matrix:
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
+def mat_mul(a, b, cols: int) -> Matrix:
+    """The product a @ b of integer matrices given as rows.
+
+    b has `cols` columns; the count is passed because a product through
+    the trivial group has a b with no rows to read it from.
+    """
+    b_cols = [[row[j] for row in b] for j in range(cols)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a]
 
 
 def _transpose(m: Matrix, rows: int, cols: int) -> Matrix:
@@ -435,12 +445,7 @@ class GroupMap:
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition type mismatch")
-        inner = self.domain.ngens
-        cols = other.domain.ngens
-        mat = tuple(
-            tuple(sum(row[k] * other.matrix[k][j] for k in range(inner)) for j in range(cols))
-            for row in self.matrix
-        )
+        mat = mat_mul(self.matrix, other.matrix, other.domain.ngens)
         return GroupMap(other.domain, self.codomain, mat)
 
     def is_zero(self) -> bool:
@@ -457,8 +462,7 @@ class GroupMap:
 
 
 def identity_map(group: FgAbGroup) -> GroupMap:
-    n = group.ngens
-    return GroupMap(group, group, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return multiplication_map(group, 1)
 
 
 def zero_map(domain: FgAbGroup, codomain: FgAbGroup) -> GroupMap:
@@ -468,7 +472,7 @@ def zero_map(domain: FgAbGroup, codomain: FgAbGroup) -> GroupMap:
 def multiplication_map(group: FgAbGroup, m: int) -> GroupMap:
     """x -> m*x as a GroupMap."""
     n = group.ngens
-    return GroupMap(group, group, tuple(tuple(m if i == j else 0 for j in range(n)) for i in range(n)))
+    return GroupMap(group, group, [unit_vector(n, i, m) for i in range(n)])
 
 
 def multiplier_of(h: GroupMap) -> int | None:
@@ -522,9 +526,6 @@ class Presentation:
         k = self.group.ngens
         return tuple(sum(self.lift[i][j] * vec[j] for j in range(k)) for i in range(len(self.lift)))
 
-    def projection_map(self, source: FgAbGroup) -> GroupMap:
-        return GroupMap(source, self.group, self.to_canonical)
-
 
 def group_from_presentation(num_generators: int, relations: list[list[int]] | list[Vector]) -> Presentation:
     """Canonicalize Z^num_generators modulo the row span of `relations`.
@@ -566,11 +567,7 @@ def fg_group(*cyclic_orders: int) -> FgAbGroup:
     FgAbGroup(free_rank=0, invariant_factors=(6,))
     """
     n = len(cyclic_orders)
-    rel = [
-        [o if i == j else 0 for j in range(n)]
-        for i, o in enumerate(cyclic_orders)
-        if o
-    ]
+    rel = [unit_vector(n, i, o) for i, o in enumerate(cyclic_orders) if o]
     return group_from_presentation(n, rel).group
 
 
@@ -597,13 +594,13 @@ class Subgroup:
         rows = [list(g) for g in self.generators]
         for i, o in enumerate(ambient.orders):
             if o:
-                rows.append([o if j == i else 0 for j in range(n)])
+                rows.append(unit_vector(n, i, o))
         self.basis = row_hermite_basis(rows, n)
 
     @classmethod
     def full(cls, ambient: FgAbGroup) -> "Subgroup":
         n = ambient.ngens
-        return cls(ambient, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
+        return cls(ambient, [unit_vector(n, i) for i in range(n)])
 
     @classmethod
     def zero(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -627,9 +624,7 @@ class Subgroup:
 
     def is_full(self) -> bool:
         n = self.ambient.ngens
-        return all(
-            self.contains(tuple(1 if i == j else 0 for j in range(n))) for i in range(n)
-        )
+        return all(self.contains(unit_vector(n, i)) for i in range(n))
 
     def is_trivial(self) -> bool:
         return self.as_group().is_trivial()
@@ -642,7 +637,7 @@ class Subgroup:
         rels = []
         for i, o in enumerate(self.ambient.orders):
             if o:
-                coeffs = lattice_solve(self.basis, tuple(o if j == i else 0 for j in range(n)))
+                coeffs = lattice_solve(self.basis, unit_vector(n, i, o))
                 assert coeffs is not None  # torsion rows were folded into the lattice
                 rels.append(coeffs)
         pres = group_from_presentation(len(self.basis), rels)
@@ -661,7 +656,7 @@ class Subgroup:
         n = self.ambient.ngens
         cols = []
         for k in range(pres.group.ngens):
-            coeffs = pres.lift_element(tuple(1 if i == k else 0 for i in range(pres.group.ngens)))
+            coeffs = pres.lift_element(unit_vector(pres.group.ngens, k))
             vec = [sum(coeffs[r] * basis[r][i] for r in range(b)) for i in range(n)]
             cols.append(self.ambient.reduce(vec))
         mat = tuple(tuple(col[i] for col in cols) for i in range(n))
@@ -684,13 +679,6 @@ class Subgroup:
         return f"<{self.as_group()} inside {self.ambient}>"
 
 
-def subgroup_equal(a: Subgroup, b: Subgroup) -> bool:
-    """Mutual-membership equality of subgroups of one ambient group."""
-    if a.ambient != b.ambient:
-        raise ValueError("subgroups of different ambient groups")
-    return a == b
-
-
 def image(h: GroupMap) -> Subgroup:
     n = h.domain.ngens
     cols = [tuple(h.matrix[i][j] for i in range(h.codomain.ngens)) for j in range(n)]
@@ -710,7 +698,7 @@ def kernel(h: GroupMap) -> Subgroup:
     mat = [list(row) for row in h.matrix]
     torsion_cols = [i for i, o in enumerate(h.codomain.orders) if o]
     for i in torsion_cols:
-        col = [h.codomain.orders[i] if r == i else 0 for r in range(m)]
+        col = unit_vector(m, i, h.codomain.orders[i])
         for r in range(m):
             mat[r].append(col[r])
     basis = matrix_kernel_basis(mat, n + len(torsion_cols))
@@ -774,7 +762,7 @@ def direct_sum(groups: list[FgAbGroup] | tuple[FgAbGroup, ...]) -> DirectSum:
     for g, off in zip(groups, offsets):
         for i, o in enumerate(g.orders):
             if o:
-                rel.append([o if j == off + i else 0 for j in range(total)])
+                rel.append(unit_vector(total, off + i, o))
     pres = group_from_presentation(total, rel)
     big = pres.group
     injections = []

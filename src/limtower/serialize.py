@@ -14,9 +14,15 @@ codomain generators).  The convenience form
 
 denotes the constant tower on G with multiplication by m.  Round trips
 are exact: parsing the printed form reproduces an equal tower.
+
+Parsing is strict: every count, factor, entry and multiplier must be a
+JSON integer (not a float and not a boolean), and every rejection is a
+ValueError that names the offending field by its JSON path.
 """
 
 from __future__ import annotations
+
+import json
 
 from .groups import FgAbGroup, GroupMap, multiplication_map
 from .towers import (
@@ -33,10 +39,47 @@ def group_to_json(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "invariant_factors": list(g.invariant_factors)}
 
 
-def group_from_json(obj: dict) -> FgAbGroup:
+def _bad(path: str, want: str, value) -> ValueError:
+    return ValueError(f"field '{path}' must be {want}, got {json.dumps(value)}")
+
+
+def _int(value, path: str) -> int:
+    if type(value) is not int:  # exact: bool is a subclass of int
+        raise _bad(path, "an integer", value)
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise _bad(path, "a list", value)
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise _bad(path, "an object", value)
+    return value
+
+
+def _ints(values, path: str) -> list[int]:
+    for k, v in enumerate(_list(values, path)):
+        if type(v) is not int:
+            raise _bad(f"{path}[{k}]", "an integer", v)
+    return values
+
+
+def _int_rows(value, path: str) -> list[list[int]]:
+    rows = _list(value, path)
+    for i, row in enumerate(rows):
+        _ints(row, f"{path}[{i}]")
+    return rows
+
+
+def group_from_json(obj: dict, path: str = "group") -> FgAbGroup:
     if not isinstance(obj, dict) or "free_rank" not in obj:
-        raise ValueError("group object needs free_rank and invariant_factors")
-    return FgAbGroup(int(obj["free_rank"]), tuple(int(d) for d in obj.get("invariant_factors", [])))
+        raise ValueError(f"group object '{path}' needs free_rank and invariant_factors")
+    factors = _ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")
+    return FgAbGroup(_int(obj["free_rank"], f"{path}.free_rank"), tuple(factors))
 
 
 def map_to_json(h: GroupMap) -> dict:
@@ -47,11 +90,11 @@ def map_to_json(h: GroupMap) -> dict:
     }
 
 
-def map_from_json(obj: dict) -> GroupMap:
-    dom = group_from_json(obj["domain"])
-    cod = group_from_json(obj["codomain"])
-    mat = tuple(tuple(int(v) for v in row) for row in obj["matrix"])
-    return GroupMap(dom, cod, mat)
+def map_from_json(obj: dict, path: str = "map") -> GroupMap:
+    obj = _object(obj, path)
+    dom = group_from_json(obj["domain"], f"{path}.domain")
+    cod = group_from_json(obj["codomain"], f"{path}.codomain")
+    return GroupMap(dom, cod, _int_rows(obj["matrix"], f"{path}.matrix"))
 
 
 def tower_to_json(t: Tower) -> dict:
@@ -76,15 +119,15 @@ def tower_from_json(obj: dict) -> Tower:
         raise ValueError("tower object must be a JSON object")
     if obj.get("kind") == "S_of_A":
         group = group_from_json(obj["group"])
-        m = int(obj["multiplier"])
+        m = _int(obj["multiplier"], "multiplier")
         return Tower((), (), ConstantEndo(group, multiplication_map(group, m)))
-    prefix = obj.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise ValueError("tower field 'prefix' must be a list")
+    prefix = _list(obj.get("prefix", []), "prefix")
     groups = []
     maps = []
     for i, entry in enumerate(prefix):
-        groups.append(group_from_json(entry["group"]))
+        path = f"prefix[{i}]"
+        entry = _object(entry, path)
+        groups.append(group_from_json(entry["group"], f"{path}.group"))
         mtp = entry.get("map_to_previous")
         if i == 0:
             if mtp is not None:
@@ -92,15 +135,16 @@ def tower_from_json(obj: dict) -> Tower:
         else:
             if mtp is None:
                 raise ValueError(f"prefix entry {i} is missing map_to_previous")
-            maps.append(map_from_json(mtp))
-    tail_obj = obj.get("tail", {"kind": "zero"})
-    if not isinstance(tail_obj, dict):
-        raise ValueError("tower field 'tail' must be an object")
+            maps.append(map_from_json(mtp, f"{path}.map_to_previous"))
+    tail_obj = _object(obj.get("tail", {"kind": "zero"}), "tail")
     kind = tail_obj.get("kind")
     if kind == "zero":
         tail: ConstantEndo | ZeroTail = ZeroTail()
     elif kind == "constant_endo":
-        tail = ConstantEndo(group_from_json(tail_obj["group"]), map_from_json(tail_obj["endo"]))
+        tail = ConstantEndo(
+            group_from_json(tail_obj["group"], "tail.group"),
+            map_from_json(tail_obj["endo"], "tail.endo"),
+        )
     else:
         raise ValueError(f"unknown tail kind {kind!r}")
     return Tower(tuple(groups), tuple(maps), tail)
@@ -109,7 +153,7 @@ def tower_from_json(obj: dict) -> Tower:
 def matrix_from_json(obj: dict) -> list[list[int]]:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValueError("matrix object needs a 'matrix' field")
-    mat = [[int(v) for v in row] for row in obj["matrix"]]
+    mat = _int_rows(obj["matrix"], "matrix")
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("matrix rows must have equal length")
     if mat and not mat[0]:

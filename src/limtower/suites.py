@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd
 
 from .groups import (
@@ -24,18 +23,12 @@ from .groups import (
     fg_group,
     identity_map,
     image,
+    mat_mul,
     multiplication_map,
     smith_normal_form,
     zero_map,
 )
-from .ordinals import (
-    OrdinalCNF,
-    deglex_compare,
-    ord_compare,
-    ord_from_int,
-    parse_ordinal,
-    random_smaller_ordinal,
-)
+from .ordinals import OrdinalCNF, ord_from_int, parse_ordinal, random_smaller_ordinal
 from .towers import (
     ConstantEndo,
     Tower,
@@ -279,13 +272,13 @@ def random_walker_index(rng: random.Random, ctx: wk.WalkerContext) -> list[Ordin
     found: list[OrdinalCNF] = []
     for _ in range(40):
         o = random_smaller_ordinal(rng, ctx.alpha)
-        if o is not None and all(ord_compare(o, f) != 0 for f in found):
+        if o is not None and o not in found:
             found.append(o)
         if len(found) == want:
             break
     if not found:
         found = [ord_from_int(0)]
-    found.sort(key=cmp_to_key(ord_compare))
+    found.sort()
     return found
 
 
@@ -362,14 +355,6 @@ def corpus_towers() -> list[tuple[str, Tower]]:
 # Acceptance criteria
 
 
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def criterion_snf_certificates(rng: random.Random, trials: int = 500) -> CheckResult:
     """U*M*V = D with unimodular transforms and a divisibility chain."""
     for t in range(trials):
@@ -377,7 +362,7 @@ def criterion_snf_certificates(rng: random.Random, trials: int = 500) -> CheckRe
         n = rng.randint(1, 6)
         mat = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         u, d, v = smith_normal_form(mat)
-        if _matmul(_matmul(u, mat), v) != [list(r) for r in d]:
+        if mat_mul(mat_mul(u, mat, n), v, n) != [list(r) for r in d]:
             return CheckResult("snf-certificates", False, f"product mismatch at trial {t}")
         if abs_det(u) != 1 or abs_det(v) != 1:
             return CheckResult("snf-certificates", False, f"non-unimodular transform at trial {t}")
@@ -613,7 +598,7 @@ def criterion_walker_normal_form(rng: random.Random, total_trials: int = 10_000)
             if normalize_random_order(ctx, x, rng) != nx:
                 return CheckResult("walker-normal-form", False, f"confluence fails at p={p}, trial {t}")
             if x.support and nx.support:
-                if deglex_compare(nx.leading_index(), x.leading_index()) > 0:
+                if nx.leading_index() > x.leading_index():
                     return CheckResult("walker-normal-form", False, f"leading index grew at p={p}, trial {t}")
             done += 1
     return CheckResult(
@@ -628,7 +613,7 @@ def _ulm_samples(alpha: OrdinalCNF) -> list[OrdinalCNF]:
     out = []
     for s in fixed:
         o = parse_ordinal(s)
-        if ord_compare(o, alpha) < 0:
+        if o < alpha:
             out.append(o)
         if len(out) == 6:
             break
@@ -659,7 +644,7 @@ def criterion_ulm_length() -> CheckResult:
                     x = wk.mul_by_p(x)
                     seen.append(wk.height(x))
                 for a, b in zip(seen, seen[1:]):
-                    if ord_compare(a, b) >= 0:
+                    if a >= b:
                         return CheckResult("ulm-length", False, f"heights not strictly increasing at {alpha_text}")
                 probes += 1
     return CheckResult("ulm-length", True, f"{probes} sampled stages across 6 bounds, heights exact and climbing")
@@ -750,18 +735,8 @@ def acceptance_criteria(seed: int = 0) -> list[CheckResult]:
 # Named suites
 
 
-def _scenario(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail)
-
-
 def paper_examples_suite() -> list[CheckResult]:
     """The fixed worked-example corpus, one result per scenario."""
-    out: list[CheckResult] = []
-
-    def tower_scenario(name: str, tw: Tower, expect) -> None:
-        rep = analyze(tw)
-        problems = expect(rep, tw)
-        out.append(_scenario(name, not problems, problems or "as expected"))
 
     def expect_z8(rep, tw):
         st = iterate_image(tw, 2)
@@ -771,14 +746,10 @@ def paper_examples_suite() -> list[CheckResult]:
             return f"expected len 3 local, got {rep.length} local={rep.local}"
         return ""
 
-    tower_scenario("s-of-a-z8-mult-2", multiplication_tower(fg_group(8), 2), expect_z8)
-
     def expect_z25(rep, tw):
         if str(rep.length.value) != "2" or rep.local is not True:
             return f"expected len 2 local, got {rep.length}"
         return ""
-
-    tower_scenario("s-of-a-z25-mult-5", multiplication_tower(fg_group(25), 5), expect_z25)
 
     def expect_z6(rep, tw):
         if rep.ml_status.kind != "stabilized" or rep.ml_status.stage != 1:
@@ -790,8 +761,6 @@ def paper_examples_suite() -> list[CheckResult]:
             return "decomposition mismatch"
         return ""
 
-    tower_scenario("s-of-a-z6-mult-2", multiplication_tower(fg_group(6), 2), expect_z6)
-
     def expect_z12(rep, tw):
         if rep.lim != fg_group(3):
             return f"expected lim Z/3, got {rep.lim}"
@@ -802,8 +771,6 @@ def paper_examples_suite() -> list[CheckResult]:
         if lim_l is None or not lim_l.is_trivial():
             return "L has nontrivial limit"
         return ""
-
-    tower_scenario("s-of-a-z12-mult-2", multiplication_tower(fg_group(12), 2), expect_z12)
 
     def expect_z(rep, tw):
         ok = (
@@ -818,8 +785,6 @@ def paper_examples_suite() -> list[CheckResult]:
         )
         return "" if ok else "never-stabilizing profile mismatch"
 
-    tower_scenario("s-of-a-z-mult-2", multiplication_tower(fg_group(0), 2), expect_z)
-
     def expect_z_z4(rep, tw):
         ok = (
             rep.length.kind == "exact"
@@ -828,13 +793,9 @@ def paper_examples_suite() -> list[CheckResult]:
         )
         return "" if ok else f"expected len w nonzero lim1, got {rep.length}"
 
-    tower_scenario("s-of-a-z-plus-z4-mult-2", multiplication_tower(fg_group(4, 0), 2), expect_z_z4)
-
     def expect_null(rep, tw):
         ok = str(rep.length.value) == "1" and rep.local is True
         return "" if ok else f"expected len 1 local, got {rep.length}"
-
-    tower_scenario("null-tower-2-4-8", null_tower([fg_group(2), fg_group(4), fg_group(8)]), expect_null)
 
     def expect_prefixed(rep, tw):
         ok = (
@@ -844,13 +805,6 @@ def paper_examples_suite() -> list[CheckResult]:
             and rep.lim.is_trivial()
         )
         return "" if ok else f"expected len w + 1, got {rep.length}"
-
-    z = fg_group(0)
-    tower_scenario(
-        "prefixed-z5-then-z-mult-2",
-        Tower((fg_group(5), z), (GroupMap(z, fg_group(5), ((1,),)),), ConstantEndo(z, multiplication_map(z, 2))),
-        expect_prefixed,
-    )
 
     def expect_const(rep, tw):
         ok = (
@@ -863,38 +817,48 @@ def paper_examples_suite() -> list[CheckResult]:
         )
         return "" if ok else "constant tower profile mismatch"
 
-    tower_scenario("constant-z4", constant_tower(fg_group(4)), expect_const)
-
     def expect_product(rep, tw):
         ok = rep.lim == fg_group(3) and rep.local is False and rep.lim1_status.kind == "zero"
         return "" if ok else f"expected lim Z/3, got {rep.lim}"
 
-    tower_scenario(
-        "product-z6-with-null",
-        limit_of_towers([multiplication_tower(fg_group(6), 2), null_tower([fg_group(2)])]),
-        expect_product,
-    )
+    corpus = dict(corpus_towers())
+    out: list[CheckResult] = []
+    for name, corpus_name, expect in (
+        ("s-of-a-z8-mult-2", "mult-z8-by-2", expect_z8),
+        ("s-of-a-z25-mult-5", "mult-z25-by-5", expect_z25),
+        ("s-of-a-z6-mult-2", "mult-z6-by-2", expect_z6),
+        ("s-of-a-z12-mult-2", "mult-z12-by-2", expect_z12),
+        ("s-of-a-z-mult-2", "mult-z-by-2", expect_z),
+        ("s-of-a-z-plus-z4-mult-2", "mult-z-plus-z4-by-2", expect_z_z4),
+        ("null-tower-2-4-8", "null-2-4-8", expect_null),
+        ("prefixed-z5-then-z-mult-2", "prefixed-z5-then-z-by-2", expect_prefixed),
+        ("constant-z4", "constant-z4", expect_const),
+        ("product-z6-with-null", "product-z6-with-null", expect_product),
+    ):
+        tw = corpus[corpus_name]
+        problems = expect(analyze(tw), tw)
+        out.append(CheckResult(name, not problems, problems or "as expected"))
 
     # shift invariance across the whole corpus
     shift_check = criterion_shift_invariance()
-    out.append(_scenario("shift-invariance-corpus", shift_check.passed, shift_check.detail))
+    out.append(CheckResult("shift-invariance-corpus", shift_check.passed, shift_check.detail))
 
     # walker scenarios
     ctx1 = wk.WalkerContext(2, parse_ordinal("1"))
     e0 = ctx1.basis([parse_ordinal("0")])
     ok1 = (not e0.is_zero()) and wk.mul_by_p(e0).is_zero() and str(wk.height(e0)) == "0"
-    out.append(_scenario("walker-alpha-1", ok1, "p*e[0] = 0 and e[0] nonzero" if ok1 else "failed"))
+    out.append(CheckResult("walker-alpha-1", ok1, "p*e[0] = 0 and e[0] nonzero" if ok1 else "failed"))
 
     ctx = wk.WalkerContext(2, parse_ordinal("w*2+3"))
     e01 = ctx.basis([parse_ordinal("0"), parse_ordinal("1")])
     e1 = ctx.basis([parse_ordinal("1")])
     ok2 = wk.add(e01, e01) == e1 and wk.add(e1, e1).is_zero() and wk.mul_by_p(e01) == e1
-    out.append(_scenario("walker-carry-chain-p2", ok2, "e[0,1]+e[0,1] = e[1], e[1]+e[1] = 0" if ok2 else "failed"))
+    out.append(CheckResult("walker-carry-chain-p2", ok2, "e[0,1]+e[0,1] = e[1], e[1]+e[1] = 0" if ok2 else "failed"))
 
     sample = [parse_ordinal(s) for s in ("0", "5", "w", "w+1", "w*2+2")]
     rep_probe = wk.ulm_probe(ctx, sample)
     ok3 = rep_probe.ok and rep_probe.top_stage_trivial
-    out.append(_scenario("walker-ulm-w2-3", ok3, "5 sampled heights exact; top stage trivial" if ok3 else "failed"))
+    out.append(CheckResult("walker-ulm-w2-3", ok3, "5 sampled heights exact; top stage trivial" if ok3 else "failed"))
 
     ctx3 = wk.WalkerContext(3, parse_ordinal("w"))
     rels = [
@@ -906,11 +870,11 @@ def paper_examples_suite() -> list[CheckResult]:
     for i, r in enumerate(rels):
         combo = wk.add(combo, wk.scalar_mul(2 * i + 1, r.element))
     ok4 = wk.in_relations(combo) and not wk.in_relations(ctx3.basis([parse_ordinal("3")]))
-    out.append(_scenario("walker-relations-p3", ok4, "relation combos vanish; basis classes do not" if ok4 else "failed"))
+    out.append(CheckResult("walker-relations-p3", ok4, "relation combos vanish; basis classes do not" if ok4 else "failed"))
 
     ok5 = truncation_adjunction_check(fg_group(2), 0, constant_tower(fg_group(2)))
     ok5 = ok5 and truncation_adjunction_check(fg_group(2), 1, null_tower([fg_group(2), TRIVIAL_GROUP]))
-    out.append(_scenario("adjunction-z2-small", ok5, "hom-set bijections hold" if ok5 else "failed"))
+    out.append(CheckResult("adjunction-z2-small", ok5, "hom-set bijections hold" if ok5 else "failed"))
 
     return out
 

@@ -33,14 +33,16 @@ from .groups import (
     image_of_subgroup,
     kernel,
     lattice_solve,
+    mat_mul,
     multiplication_map,
     multiplier_of,
     abs_det,
     quotient_by_subgroup,
     row_hermite_basis,
+    unit_vector,
     zero_map,
 )
-from .ordinals import OMEGA, OrdinalCNF, ord_add, ord_compare, ord_from_int
+from .ordinals import OMEGA, OrdinalCNF, ord_add, ord_from_int
 
 DEFAULT_HORIZON = 64
 
@@ -277,9 +279,25 @@ def _induced_map(dom: FgAbGroup, cod: FgAbGroup, columns) -> GroupMap:
     return GroupMap(dom, cod, mat)
 
 
-def _gen_vectors(g: FgAbGroup):
-    n = g.ngens
-    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+def _induced(dom_sub: Subgroup, cod_sub: Subgroup, h: GroupMap) -> GroupMap:
+    """h restricted to dom_sub -> cod_sub, in the canonical forms of both."""
+    dom = dom_sub.as_group()
+    inc = dom_sub.include()
+    n = dom.ngens
+    cols = [cod_sub.coords(h.apply(inc.apply(unit_vector(n, j)))) for j in range(n)]
+    return _induced_map(dom, cod_sub.as_group(), cols)
+
+
+def _check_closed(s: Tower, subs: tuple[Subgroup, ...]) -> int:
+    """Check f_i(subs[i+1]) <= subs[i] at every level; returns the stable index."""
+    c = s.stable_index
+    if len(subs) != c + 1:
+        raise ValueError("need one subgroup per level up to the stable index")
+    for i in range(c + 1):
+        upper = subs[min(i + 1, c)]
+        if not subs[i].contains_subgroup(image_of_subgroup(s.step_map(i), upper)):
+            raise ValueError(f"subgroups are not closed under the structure map at level {i}")
+    return c
 
 
 def subtower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMorphism]:
@@ -287,54 +305,30 @@ def subtower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMorphism
 
     Requires f_i(subs[i+1]) <= subs[i]; subs cover levels 0..stable_index.
     """
-    c = s.stable_index
-    if len(subs) != c + 1:
-        raise ValueError("need one subgroup per level up to the stable index")
-    for i in range(c + 1):
-        upper = subs[min(i + 1, c)]
-        if not subs[i].contains_subgroup(image_of_subgroup(s.step_map(i), upper)):
-            raise ValueError(f"subgroups are not closed under the structure map at level {i}")
-    level_groups = [subs[i].as_group() for i in range(c + 1)]
-    includes = [subs[i].include() for i in range(c + 1)]
-    maps = []
-    for i in range(c):
-        cols = [
-            subs[i].coords(s.step_map(i).apply(includes[i + 1].apply(g)))
-            for g in _gen_vectors(level_groups[i + 1])
-        ]
-        maps.append(_induced_map(level_groups[i + 1], level_groups[i], cols))
-    cols = [
-        subs[c].coords(s.step_map(c).apply(includes[c].apply(g)))
-        for g in _gen_vectors(level_groups[c])
-    ]
-    endo = _induced_map(level_groups[c], level_groups[c], cols)
-    sub = Tower(tuple(level_groups), tuple(maps), ConstantEndo(level_groups[c], endo))
-    morphism = TowerMorphism(sub, s, tuple(includes), includes[c])
+    c = _check_closed(s, subs)
+    level_groups = tuple(level.as_group() for level in subs)
+    maps = [_induced(subs[min(i + 1, c)], subs[i], s.step_map(i)) for i in range(c + 1)]
+    endo = maps.pop()
+    sub = Tower(level_groups, tuple(maps), ConstantEndo(level_groups[c], endo))
+    includes = tuple(level.include() for level in subs)
+    morphism = TowerMorphism(sub, s, includes, includes[c])
     return sub, morphism
 
 
 def quotient_tower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMorphism]:
     """S divided levelwise by a map-closed family of subgroups."""
-    c = s.stable_index
-    if len(subs) != c + 1:
-        raise ValueError("need one subgroup per level up to the stable index")
-    for i in range(c + 1):
-        upper = subs[min(i + 1, c)]
-        if not subs[i].contains_subgroup(image_of_subgroup(s.step_map(i), upper)):
-            raise ValueError(f"subgroups are not closed under the structure map at level {i}")
+    c = _check_closed(s, subs)
     quots = [quotient_by_subgroup(s.group(i), subs[i]) for i in range(c + 1)]
     maps = []
-    for i in range(c):
+    for i in range(c + 1):
+        upper = quots[min(i + 1, c)]
+        n = upper.group.ngens
         cols = [
-            quots[i].projection.apply(s.step_map(i).apply(quots[i + 1].section(g)))
-            for g in _gen_vectors(quots[i + 1].group)
+            quots[i].projection.apply(s.step_map(i).apply(upper.section(unit_vector(n, j))))
+            for j in range(n)
         ]
-        maps.append(_induced_map(quots[i + 1].group, quots[i].group, cols))
-    cols = [
-        quots[c].projection.apply(s.step_map(c).apply(quots[c].section(g)))
-        for g in _gen_vectors(quots[c].group)
-    ]
-    endo = _induced_map(quots[c].group, quots[c].group, cols)
+        maps.append(_induced_map(upper.group, quots[i].group, cols))
+    endo = maps.pop()
     quot = Tower(
         tuple(q.group for q in quots),
         tuple(maps),
@@ -400,14 +394,6 @@ class Lim1Status:
         return f"Unknown({self.reason})"
 
 
-def _mat_power(mat: list[list[int]], n: int) -> list[list[int]]:
-    r = len(mat)
-    out = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for _ in range(n):
-        out = [[sum(out[i][k] * mat[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
-    return out
-
-
 def _tail_never_witness(tail: TailSpec) -> str | None:
     """A certificate that the tail's image chain strictly decreases forever.
 
@@ -430,7 +416,9 @@ def _tail_never_witness(tail: TailSpec) -> str | None:
         return None
     k = len(t.invariant_factors)
     ebar = [[tail.endo.matrix[k + i][k + j] for j in range(r)] for i in range(r)]
-    power = _mat_power(ebar, r)
+    power = ebar
+    for _ in range(r - 1):
+        power = mat_mul(power, ebar, r)
     cols = [[power[i][j] for i in range(r)] for j in range(r)]
     basis = row_hermite_basis(cols, r)
     if not basis:
@@ -471,8 +459,7 @@ def _prime_to_m_part(sub: Subgroup, m: int) -> Subgroup:
         while (g := gcd(w, m)) > 1:
             w //= g
         u = d // w  # m-primary cofactor; u * generator spans the coprime part
-        vec = tuple(u if i == j else 0 for i in range(c.ngens))
-        gens.append(inc.apply(vec))
+        gens.append(inc.apply(unit_vector(c.ngens, j, u)))
     return Subgroup(sub.ambient, gens)
 
 
@@ -600,19 +587,12 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
         return FiltrationStage(beta, st.stable_subs, True, beta)
     if st.omega_chain is not None:
         for j, subs in enumerate(st.omega_chain):
-            if ord_compare(beta, ord_add(OMEGA, ord_from_int(j))) == 0:
+            if beta == ord_add(OMEGA, ord_from_int(j)):
                 return FiltrationStage(beta, subs, True, beta)
         # beta is past every distinct stage, hence past the length
         return FiltrationStage(beta, st.omega_chain[-1], True, beta)
     deepest = ord_from_int(len(chain) - 1)
     return FiltrationStage(beta, chain[-1], False, deepest)
-
-
-def _restricted_endo(sub: Subgroup, endo: GroupMap) -> GroupMap:
-    c = sub.as_group()
-    inc = sub.include()
-    cols = [sub.coords(endo.apply(inc.apply(g))) for g in _gen_vectors(c)]
-    return _induced_map(c, c, cols)
 
 
 def lim_lim1(
@@ -644,7 +624,7 @@ def _lim_lim1(s: Tower, st: _Stabilization) -> tuple[FgAbGroup | None, Lim1Statu
         return None, lim1
     c = s.stable_index
     stable_tail = st.stable_subs[c]
-    endo = _restricted_endo(stable_tail, s.step_map(c))
+    endo = _induced(stable_tail, stable_tail, s.step_map(c))
     if not image(endo).is_full():
         raise RuntimeError("stable image is not epimorphic; stabilization logic is broken")
     if not kernel(endo).is_trivial():

@@ -11,8 +11,9 @@ The quotient behaves like a positional number system whose digit positions
 are ordinal sequences: multiplying by p moves mass to a strictly shorter,
 hence deg-lex smaller, position.  Every class has a unique representative
 with all coefficients in {1, ..., p-1}; normalization performs the
-carrying passes of that uniqueness argument, always splitting the largest
-outstanding position, so termination is the well-foundedness of deg-lex.
+carrying passes of that uniqueness argument: a carry from a position of
+length n lands on its tail, of length n - 1, so one pass over the lengths,
+longest first, settles every digit.
 
 Coefficients are plain integers.  Normalizing a finitely supported
 combination only ever inspects finitely many p-adic digits of each
@@ -26,18 +27,9 @@ height of zero is alpha by convention (p^alpha D'_alpha = 0).
 
 from __future__ import annotations
 
-import functools
-import heapq
 from dataclasses import dataclass
 
-from .ordinals import (
-    DegLexIndex,
-    OrdinalCNF,
-    deglex_compare,
-    ord_compare,
-    ord_succ,
-    parse_ordinal,
-)
+from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_ordinal
 
 
 def _is_prime(n: int) -> bool:
@@ -65,7 +57,7 @@ class WalkerContext:
     def index(self, entries) -> DegLexIndex:
         idx = entries if isinstance(entries, DegLexIndex) else DegLexIndex(tuple(entries))
         for e in idx.entries:
-            if ord_compare(e, self.alpha) >= 0:
+            if e >= self.alpha:
                 raise ValueError(f"index entry {e} is not below alpha = {self.alpha}")
         return idx
 
@@ -88,11 +80,7 @@ class WalkerContext:
 
 
 def _sorted_support(acc: dict[DegLexIndex, int]):
-    keys = sorted(
-        (k for k, v in acc.items() if v),
-        key=functools.cmp_to_key(deglex_compare),
-        reverse=True,
-    )
+    keys = sorted((k for k, v in acc.items() if v), reverse=True)
     return tuple((k, acc[k]) for k in keys)
 
 
@@ -133,51 +121,31 @@ class WalkerElement:
         return format_element(self)
 
 
-class _MaxKey:
-    """Inverts deg-lex so heapq's min-heap pops the largest index first."""
-
-    __slots__ = ("idx",)
-
-    def __init__(self, idx: DegLexIndex):
-        self.idx = idx
-
-    def __lt__(self, other: "_MaxKey") -> bool:
-        return deglex_compare(self.idx, other.idx) > 0
-
-
 def normalize(x: WalkerElement) -> WalkerElement:
     """The unique digit form of x's class.
 
-    Splits the largest outstanding coefficient as digit + p * carry and
-    pushes the carry to the tail position (or drops it for length-1
-    positions, where p annihilates the basis element).  Carries only land
-    on strictly smaller positions, so processing in descending order
-    touches every position once.
+    Splits each coefficient as digit + p * carry and pushes the carry to
+    the tail position (or drops it for length-1 positions, where p
+    annihilates the basis element).  A carry from length n lands on length
+    n - 1, so taking the lengths longest first finalizes every position
+    exactly once.
     """
     if x.normalized:
         return x
     p = x.context.p
-    acc = {k: v for k, v in x.support}
-    heap = [_MaxKey(k) for k in acc]
-    heapq.heapify(heap)
+    by_length: dict[int, dict[DegLexIndex, int]] = {}
+    for idx, c in x.support:
+        by_length.setdefault(len(idx), {})[idx] = c
     out: dict[DegLexIndex, int] = {}
-    while heap:
-        idx = heapq.heappop(heap).idx
-        if idx not in acc:
-            continue  # already absorbed into a previously popped position
-        c = acc.pop(idx)
-        digit = c % p
-        carry = c // p
-        if digit:
-            out[idx] = digit
-        if carry and len(idx) >= 2:
-            t = idx.tail()
-            if t in acc:
-                acc[t] += carry
-            else:
-                acc[t] = carry
-                heapq.heappush(heap, _MaxKey(t))
-        # length-1 positions: p * e_(a) = 0, the carry evaporates
+    for n in range(max(by_length, default=0), 0, -1):
+        tails = by_length.setdefault(n - 1, {})
+        for idx, c in by_length.pop(n, {}).items():
+            carry, digit = divmod(c, p)
+            if digit:
+                out[idx] = digit
+            if carry and n >= 2:
+                t = idx.tail()
+                tails[t] = tails.get(t, 0) + carry
     return _from_dict(x.context, out)
 
 
@@ -245,19 +213,14 @@ def height(x: WalkerElement) -> OrdinalCNF:
     nx = normalize(x)
     if nx.is_zero():
         return x.context.alpha
-    best = None
-    for idx, _ in nx.support:
-        f = idx.first()
-        if best is None or ord_compare(f, best) < 0:
-            best = f
-    return best
+    return min(idx.first() for idx, _ in nx.support)
 
 
 def in_p_beta(x: WalkerElement, beta: OrdinalCNF) -> bool:
     """Membership in p^beta D'_alpha, for beta <= alpha."""
-    if ord_compare(beta, x.context.alpha) > 0:
+    if beta > x.context.alpha:
         raise ValueError("beta exceeds the ambient bound")
-    return ord_compare(height(x), beta) >= 0
+    return height(x) >= beta
 
 
 @dataclass(frozen=True)
@@ -276,7 +239,7 @@ def mul_p_height_step(x: WalkerElement) -> HeightStep:
     before = height(nx)
     px = mul_by_p(nx)
     after = height(px)
-    ok = px.is_zero() or ord_compare(after, ord_succ(before)) >= 0
+    ok = px.is_zero() or after >= ord_succ(before)
     return HeightStep(before, after, px.is_zero(), ok)
 
 
@@ -308,11 +271,11 @@ def ulm_probe(ctx: WalkerContext, sample) -> UlmProbeReport:
     entries = []
     all_ok = True
     for beta in sample:
-        if ord_compare(beta, ctx.alpha) >= 0:
+        if beta >= ctx.alpha:
             raise ValueError("sampled stage must be below alpha")
         x = ctx.basis([beta])
         h = height(x)
-        exact = ord_compare(h, beta) == 0
+        exact = h == beta
         nonzero = not normalize(x).is_zero()
         entries.append(UlmProbeEntry(beta, h, nonzero, exact))
         all_ok = all_ok and exact and nonzero

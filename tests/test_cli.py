@@ -56,6 +56,9 @@ class TestSerialize:
         assert rep["omega_complete"] is False
 
 
+Z = {"free_rank": 1, "invariant_factors": []}
+
+
 @pytest.fixture
 def tower_file(tmp_path):
     path = tmp_path / "tower.json"
@@ -124,6 +127,21 @@ class TestCli:
             ("analyze", {"prefix": 5}, "'prefix'"),
             ("analyze", {"tail": []}, "'tail'"),
             ("snf", {"matrix": [[]]}, "'matrix'"),
+            # floats, booleans and wrong containers are rejected, never coerced
+            ("analyze", {"prefix": [{"group": {"free_rank": 0, "invariant_factors": [2.7]}}]},
+             "'prefix[0].group.invariant_factors[0]'"),
+            ("analyze", {"kind": "S_of_A", "group": {"free_rank": True}, "multiplier": 2}, "'group.free_rank'"),
+            ("analyze", {"kind": "S_of_A", "group": {"free_rank": 1}, "multiplier": 2.5}, "'multiplier'"),
+            ("analyze", {"tail": {"kind": "constant_endo", "group": Z, "endo": {"domain": Z, "codomain": Z, "matrix": [[1.5]]}}},
+             "'tail.endo.matrix[0][0]'"),
+            ("analyze", {"prefix": [5]}, "'prefix[0]'"),
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": 5}]}, "'prefix[1].map_to_previous'"),
+            ("analyze", {"prefix": [{"group": {"free_rank": 0, "invariant_factors": 7}}]},
+             "'prefix[0].group.invariant_factors'"),
+            ("snf", {"matrix": [[1.5]]}, "'matrix[0][0]'"),
+            ("snf", {"matrix": [[True, 2]]}, "'matrix[0][0]'"),
+            ("snf", {"matrix": 5}, "'matrix'"),
+            ("snf", {"matrix": [5]}, "'matrix[0]'"),
         ],
     )
     def test_ill_typed_field_exit_two(self, tmp_path, capsys, command, body, field):
@@ -176,6 +194,16 @@ class TestCli:
         )
         assert main(["suite", "paper-examples"]) == 1
         assert "[FAIL] broken" in capsys.readouterr().out
+
+    def test_internal_error_exit_three(self, tower_file, monkeypatch, capsys):
+        from limtower import cli as cli_mod
+
+        def broken(tower, horizon):
+            raise RuntimeError("stable image is not epimorphic")
+
+        monkeypatch.setattr(cli_mod, "analyze", broken)
+        assert main(["analyze", tower_file]) == 3
+        assert "internal error: RuntimeError: stable image" in capsys.readouterr().err
 
     def test_seed_changes_property_suite_input(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

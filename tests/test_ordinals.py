@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -16,7 +17,6 @@ from limtower.ordinals import (
     ord_add,
     ord_compare,
     ord_from_int,
-    ord_is_limit,
     ord_succ,
     parse_ordinal,
     random_ordinal,
@@ -26,6 +26,48 @@ from limtower.ordinals import (
 
 def o(text: str) -> OrdinalCNF:
     return parse_ordinal(text)
+
+
+def reference_compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
+    """The recursive CNF comparison the key order replaced, kept as its oracle."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_compare(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
+def reference_deglex(a: DegLexIndex, b: DegLexIndex) -> int:
+    if len(a.entries) != len(b.entries):
+        return -1 if len(a.entries) < len(b.entries) else 1
+    for x, y in zip(a.entries, b.entries):
+        c = reference_compare(x, y)
+        if c:
+            return c
+    return 0
+
+
+NESTED = (
+    "w^(w+1)*2 + w^w + 3",
+    "w^(w+1)*2 + w^w + 2",
+    "w^(w+1)*2 + w^3",
+    "w^(w+1) + w^w*9",
+    "w^(w+1)",
+    "w^(w^w)",
+    "w^(w^2 + 1)",
+    "w^(w*2)",
+    "w^w*2 + 1",
+    "w^w",
+)
+
+
+def order_pool() -> list[OrdinalCNF]:
+    rng = random.Random(37)
+    return [random_ordinal(rng, max_exponent=4, max_coeff=3) for _ in range(300)] + [o(t) for t in NESTED]
 
 
 class TestArithmetic:
@@ -45,7 +87,7 @@ class TestArithmetic:
 
     def test_classification(self):
         assert ZERO.is_zero() and not ZERO.is_limit() and not ZERO.is_successor()
-        assert OMEGA.is_limit() and ord_is_limit(o("w*2"))
+        assert OMEGA.is_limit() and o("w*2").is_limit()
         assert o("w+1").is_successor()
         assert ord_succ(o("w")).is_successor()
         assert o("5").is_finite() and not o("w").is_finite()
@@ -146,3 +188,28 @@ class TestDegLex:
 
         with pytest.raises(DescentCapExceeded):
             deglex_descent_probe(DegLexIndex((ord_from_int(10**7),)), stepper, step_cap=100)
+
+
+class TestNativeOrder:
+    def test_key_order_matches_reference(self):
+        pool = order_pool()
+        for a in pool:
+            for b in pool:
+                want = reference_compare(a, b)
+                assert ord_compare(a, b) == want
+                assert (a < b) == (want < 0)
+                assert (a == b) == (want == 0)
+                if want == 0:
+                    assert hash(a) == hash(b)
+
+    def test_deglex_sort_matches_reference(self):
+        rng = random.Random(43)
+        distinct = list({str(x): x for x in order_pool()}.values())
+        for _ in range(40):
+            idxs = [
+                DegLexIndex(tuple(sorted(rng.sample(distinct, rng.randint(1, 4)), key=cmp_to_key(reference_compare))))
+                for _ in range(40)
+            ]
+            idxs += [DegLexIndex(tuple(o(str(e)) for e in i.entries)) for i in idxs[:5]]  # equal copies
+            assert sorted(idxs) == sorted(idxs, key=cmp_to_key(reference_deglex))
+            assert all(deglex_compare(a, b) == reference_deglex(a, b) for a in idxs[:10] for b in idxs)

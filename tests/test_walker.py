@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from limtower.ordinals import DegLexIndex, deglex_compare, ord_compare, parse_ordinal
+from limtower.ordinals import DegLexIndex, deglex_compare, ord_compare, ord_from_int, parse_ordinal
 from limtower.walker import (
     WalkerContext,
     add,
@@ -92,6 +92,35 @@ class TestNormalize:
             r = relation_element(ctx, [e for e in x.support[0][0].entries] if x.support else [o("0")])
             shifted = ctx.element(list(x.support) + [(k, 2 * v) for k, v in r.element.support])
             assert normalize(shifted) == normalize(x)
+
+    def test_long_carry_chain(self):
+        # p^(n-1) * e[0, ..., n-1] = e[n-1]: n - 1 carries, each one position shorter
+        n = 200
+        for p in (2, 3):
+            ctx = WalkerContext(p, o("w"))
+            x = ctx.element([([ord_from_int(k) for k in range(n)], p ** (n - 1))])
+            assert normalize(x) == ctx.basis([ord_from_int(n - 1)])
+
+    def test_confluence_index_lengths_1_to_6(self):
+        rng = random.Random(89)
+        pool = [o(t) for t in ("0", "1", "2", "5", "w", "w+1", "w+3", "w*2", "w*2+1", "w*2+2")]
+        lengths = set()
+        for p in (2, 3, 5):
+            ctx = WalkerContext(p, o("w*2+3"))
+            for _ in range(150):
+                positions = []
+                for _ in range(rng.randint(1, 10)):
+                    # half the positions extend an earlier one, so carries land on mass
+                    base = rng.choice(positions) if positions and rng.random() < 0.5 else None
+                    lower = [e for e in pool if base and len(base) < 6 and e < base[0]]
+                    if lower:
+                        positions.append([rng.choice(lower)] + base)
+                    else:
+                        positions.append(sorted(rng.sample(pool, rng.randint(1, 6))))
+                lengths.update(len(idx) for idx in positions)
+                x = ctx.element([(idx, rng.randint(-(p**6), p**6)) for idx in positions])
+                assert normalize_random_order(ctx, x, rng) == normalize(x)
+        assert lengths == {1, 2, 3, 4, 5, 6}
 
     def test_leading_index_never_grows(self):
         rng = random.Random(73)
