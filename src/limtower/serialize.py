@@ -17,7 +17,8 @@ are exact: parsing the printed form reproduces an equal tower.
 
 Parsing is strict: every count, factor, entry and multiplier must be a
 JSON integer (not a float and not a boolean), and every rejection is a
-ValueError that names the offending field by its JSON path.
+ValueError that names the offending field by its JSON path, including a
+missing key and a group or map that `FgAbGroup` or `GroupMap` rejects.
 """
 
 from __future__ import annotations
@@ -61,6 +62,21 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _field(obj: dict, path: str, key: str):
+    """obj[key] of the object at `path` ("" for the top level)."""
+    if key not in obj:
+        raise ValueError(f"field '{path + '.' if path else ''}{key}' is missing")
+    return obj[key]
+
+
+def _checked(path: str, build, *args):
+    """build(*args), with any ValueError it raises prefixed by `path`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"field '{path}': {exc}") from None
+
+
 def _ints(values, path: str) -> list[int]:
     for k, v in enumerate(_list(values, path)):
         if type(v) is not int:
@@ -76,10 +92,12 @@ def _int_rows(value, path: str) -> list[list[int]]:
 
 
 def group_from_json(obj: dict, path: str = "group") -> FgAbGroup:
-    if not isinstance(obj, dict) or "free_rank" not in obj:
-        raise ValueError(f"group object '{path}' needs free_rank and invariant_factors")
+    obj = _object(obj, path)
+    rank = _int(_field(obj, path, "free_rank"), f"{path}.free_rank")
+    if rank < 0:
+        raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
     factors = _ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")
-    return FgAbGroup(_int(obj["free_rank"], f"{path}.free_rank"), tuple(factors))
+    return _checked(f"{path}.invariant_factors", FgAbGroup, rank, tuple(factors))
 
 
 def map_to_json(h: GroupMap) -> dict:
@@ -92,9 +110,10 @@ def map_to_json(h: GroupMap) -> dict:
 
 def map_from_json(obj: dict, path: str = "map") -> GroupMap:
     obj = _object(obj, path)
-    dom = group_from_json(obj["domain"], f"{path}.domain")
-    cod = group_from_json(obj["codomain"], f"{path}.codomain")
-    return GroupMap(dom, cod, _int_rows(obj["matrix"], f"{path}.matrix"))
+    dom = group_from_json(_field(obj, path, "domain"), f"{path}.domain")
+    cod = group_from_json(_field(obj, path, "codomain"), f"{path}.codomain")
+    rows = _int_rows(_field(obj, path, "matrix"), f"{path}.matrix")
+    return _checked(f"{path}.matrix", GroupMap, dom, cod, rows)
 
 
 def tower_to_json(t: Tower) -> dict:
@@ -118,8 +137,8 @@ def tower_from_json(obj: dict) -> Tower:
     if not isinstance(obj, dict):
         raise ValueError("tower object must be a JSON object")
     if obj.get("kind") == "S_of_A":
-        group = group_from_json(obj["group"])
-        m = _int(obj["multiplier"], "multiplier")
+        group = group_from_json(_field(obj, "", "group"))
+        m = _int(_field(obj, "", "multiplier"), "multiplier")
         return Tower((), (), ConstantEndo(group, multiplication_map(group, m)))
     prefix = _list(obj.get("prefix", []), "prefix")
     groups = []
@@ -127,27 +146,29 @@ def tower_from_json(obj: dict) -> Tower:
     for i, entry in enumerate(prefix):
         path = f"prefix[{i}]"
         entry = _object(entry, path)
-        groups.append(group_from_json(entry["group"], f"{path}.group"))
+        groups.append(group_from_json(_field(entry, path, "group"), f"{path}.group"))
         mtp = entry.get("map_to_previous")
         if i == 0:
             if mtp is not None:
-                raise ValueError("the first prefix entry has no previous level")
+                raise _bad(f"{path}.map_to_previous", "null on the first entry", mtp)
         else:
             if mtp is None:
-                raise ValueError(f"prefix entry {i} is missing map_to_previous")
+                raise _bad(f"{path}.map_to_previous", "a map", mtp)
             maps.append(map_from_json(mtp, f"{path}.map_to_previous"))
     tail_obj = _object(obj.get("tail", {"kind": "zero"}), "tail")
     kind = tail_obj.get("kind")
     if kind == "zero":
         tail: ConstantEndo | ZeroTail = ZeroTail()
     elif kind == "constant_endo":
-        tail = ConstantEndo(
-            group_from_json(tail_obj["group"], "tail.group"),
-            map_from_json(tail_obj["endo"], "tail.endo"),
+        tail = _checked(
+            "tail.endo",
+            ConstantEndo,
+            group_from_json(_field(tail_obj, "tail", "group"), "tail.group"),
+            map_from_json(_field(tail_obj, "tail", "endo"), "tail.endo"),
         )
     else:
-        raise ValueError(f"unknown tail kind {kind!r}")
-    return Tower(tuple(groups), tuple(maps), tail)
+        raise _bad("tail.kind", '"zero" or "constant_endo"', kind)
+    return _checked("prefix", Tower, tuple(groups), tuple(maps), tail)
 
 
 def matrix_from_json(obj: dict) -> list[list[int]]:

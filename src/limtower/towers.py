@@ -394,7 +394,7 @@ class Lim1Status:
         return f"Unknown({self.reason})"
 
 
-def _tail_never_witness(tail: TailSpec) -> str | None:
+def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     """A certificate that the tail's image chain strictly decreases forever.
 
     Let e-bar be the induced endomorphism of the free quotient and V the
@@ -402,6 +402,12 @@ def _tail_never_witness(tail: TailSpec) -> str | None:
     covolume of the image lattice inside V by |det(e-bar on V)|; a
     descending chain of same-rank lattices with constant covolume must be
     constant, so |det| = 1 forces stabilization and |det| >= 2 forbids it.
+
+    `m` is the tail's multiplier (`multiplier_of` of its map), or None.
+    The lattice is e-bar^k Z^r for the first power of two k >= r: every
+    k >= r gives the same V, and e-bar maps e-bar^k Z^r into itself, so
+    the coordinates of e-bar on it are integers with determinant
+    det(e-bar on V) whichever such k is used.
     """
     if not isinstance(tail, ConstantEndo):
         return None
@@ -409,16 +415,15 @@ def _tail_never_witness(tail: TailSpec) -> str | None:
     r = t.free_rank
     if r == 0:
         return None
-    m = multiplier_of(tail.endo)
     if m is not None:
         if abs(m) >= 2:
             return f"free summand Z^{r} with multiplication by {m}"
         return None
     k = len(t.invariant_factors)
     ebar = [[tail.endo.matrix[k + i][k + j] for j in range(r)] for i in range(r)]
-    power = ebar
-    for _ in range(r - 1):
-        power = mat_mul(power, ebar, r)
+    power, exponent = ebar, 1
+    while exponent < r:
+        power, exponent = mat_mul(power, power, r), 2 * exponent
     cols = [[power[i][j] for i in range(r)] for j in range(r)]
     basis = row_hermite_basis(cols, r)
     if not basis:
@@ -435,12 +440,6 @@ def _tail_never_witness(tail: TailSpec) -> str | None:
         raise RuntimeError("tail map is singular on its eventual rational image")
     if d >= 2:
         return f"image lattice covolume grows by {d} per step on the eventual free part"
-    return None
-
-
-def _tail_multiplier(s: Tower) -> int | None:
-    if isinstance(s.tail, ConstantEndo):
-        return multiplier_of(s.tail.endo)
     return None
 
 
@@ -485,6 +484,7 @@ class _Stabilization:
     stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
     finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
     omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
+    multiplier: int | None  # m when the tail map is multiplication by m
 
 
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
@@ -522,7 +522,8 @@ def _stabilize(s: Tower, horizon: int) -> _Stabilization:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    witness = _tail_never_witness(s.tail)
+    m = multiplier_of(s.tail.endo) if isinstance(s.tail, ConstantEndo) else None
+    witness = _tail_never_witness(s.tail, m)
     if witness is None:
         chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 2))
         if len(chain) <= horizon + 1:  # stage n repeated for some n <= horizon
@@ -533,6 +534,7 @@ def _stabilize(s: Tower, horizon: int) -> _Stabilization:
                 chain[-1],
                 chain,
                 None,
+                m,
             )
         return _Stabilization(
             MLStatus("unknown", horizon=horizon),
@@ -540,15 +542,15 @@ def _stabilize(s: Tower, horizon: int) -> _Stabilization:
             None,
             chain,
             None,
+            m,
         )
     status = MLStatus("never", witness=witness)
-    m = _tail_multiplier(s)
     if m is None:
-        return _Stabilization(status, LengthValue("unknown_beyond", OMEGA), None, None, None)
+        return _Stabilization(status, LengthValue("unknown_beyond", OMEGA), None, None, None, m)
     # all levels of the omega stage are finite, so the chain terminates
     omega_chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
     length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(omega_chain) - 1)))
-    return _Stabilization(status, length, omega_chain[-1], None, omega_chain)
+    return _Stabilization(status, length, omega_chain[-1], None, omega_chain, m)
 
 
 def ml_check(s: Tower, horizon: int = DEFAULT_HORIZON) -> MLStatus:
@@ -571,26 +573,28 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
     image steps reach the stable stage).
     """
     st = _stabilize(s, horizon)
+    if not beta.is_finite():
+        if st.status.kind == "stabilized":
+            assert st.stable_subs is not None
+            return FiltrationStage(beta, st.stable_subs, True, beta)
+        if st.omega_chain is not None:
+            for j, subs in enumerate(st.omega_chain):
+                if beta == ord_add(OMEGA, ord_from_int(j)):
+                    return FiltrationStage(beta, subs, True, beta)
+            # beta is past every distinct stage, hence past the length
+            return FiltrationStage(beta, st.omega_chain[-1], True, beta)
     chain = st.finite_chain
-    if chain is None:  # witnessed: the verdict needed no finite stage
-        chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 1))
+    if chain is None:
+        # witnessed: the verdict needed no finite stage, and the chain never
+        # repeats, so build exactly the stages up to min(beta, horizon)
+        depth = min(beta.to_int(), horizon) if beta.is_finite() else horizon
+        chain = tuple(islice(_image_stages(s, _full_stage(s)), depth + 1))
     if beta.is_finite():
         n = beta.to_int()
         if n < len(chain):
             return FiltrationStage(beta, chain[n], True, beta)
         if st.stable_subs is not None and st.status.kind == "stabilized":
             return FiltrationStage(beta, st.stable_subs, True, beta)
-        deepest = ord_from_int(len(chain) - 1)
-        return FiltrationStage(beta, chain[-1], False, deepest)
-    if st.status.kind == "stabilized":
-        assert st.stable_subs is not None
-        return FiltrationStage(beta, st.stable_subs, True, beta)
-    if st.omega_chain is not None:
-        for j, subs in enumerate(st.omega_chain):
-            if beta == ord_add(OMEGA, ord_from_int(j)):
-                return FiltrationStage(beta, subs, True, beta)
-        # beta is past every distinct stage, hence past the length
-        return FiltrationStage(beta, st.omega_chain[-1], True, beta)
     deepest = ord_from_int(len(chain) - 1)
     return FiltrationStage(beta, chain[-1], False, deepest)
 
@@ -771,8 +775,7 @@ def omega_completion_status(
 def _omega_completion_status(s: Tower, st: _Stabilization) -> tuple[bool | None, int | None]:
     if st.status.kind == "stabilized":
         return True, None
-    m = _tail_multiplier(s)
-    if st.status.kind == "never" and m is not None and isinstance(s.tail, ConstantEndo):
+    if st.status.kind == "never" and st.multiplier is not None:
         return False, s.tail.group.free_rank
     return None, None
 

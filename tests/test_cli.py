@@ -142,6 +142,15 @@ class TestCli:
             ("snf", {"matrix": [[True, 2]]}, "'matrix[0][0]'"),
             ("snf", {"matrix": 5}, "'matrix'"),
             ("snf", {"matrix": [5]}, "'matrix[0]'"),
+            # missing keys, and groups or maps the library rejects, name their path too
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {"domain": Z, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.codomain'"),
+            ("analyze", {"kind": "S_of_A", "group": Z}, "'multiplier' is missing"),
+            ("analyze", {"kind": "S_of_A", "group": {"free_rank": -1}, "multiplier": 2}, "'group.free_rank'"),
+            ("analyze", {"kind": "S_of_A", "group": {"free_rank": 0, "invariant_factors": [4, 6]}, "multiplier": 2},
+             "'group.invariant_factors'"),
+            ("analyze", {"tail": {"kind": "constant_endo", "group": Z, "endo": {"domain": Z, "codomain": Z, "matrix": [[1, 2]]}}},
+             "'tail.endo.matrix'"),
         ],
     )
     def test_ill_typed_field_exit_two(self, tmp_path, capsys, command, body, field):
@@ -204,6 +213,16 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "analyze", broken)
         assert main(["analyze", tower_file]) == 3
         assert "internal error: RuntimeError: stable image" in capsys.readouterr().err
+
+    def test_library_key_error_exit_three(self, tower_file, monkeypatch, capsys):
+        from limtower import cli as cli_mod
+
+        def broken(tower, horizon):
+            raise KeyError("stage")
+
+        monkeypatch.setattr(cli_mod, "analyze", broken)
+        assert main(["analyze", tower_file]) == 3
+        assert "internal error: KeyError: 'stage'" in capsys.readouterr().err
 
     def test_seed_changes_property_suite_input(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

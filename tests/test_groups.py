@@ -65,6 +65,26 @@ class TestSmith:
         assert not d
 
 
+class TestAbsDet:
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(31)
+        singular = 0
+        for k in range(400):
+            n = k % 9
+            bound = 9 if k % 2 else 1  # small entries put zeros on the pivot
+            mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and k % 3 == 1:
+                i, j = rng.sample(range(n), 2)
+                mat[i] = list(mat[j])
+            elif n >= 1 and k % 3 == 2:
+                mat[rng.randrange(n)] = [0] * n
+            want = abs(int(sympy.Matrix(n, n, [x for row in mat for x in row]).det()))
+            assert abs_det(mat) == want, mat
+            singular += want == 0
+        assert singular >= 200
+
+
 class TestLattices:
     def test_hermite_membership(self):
         rng = random.Random(11)

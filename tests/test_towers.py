@@ -6,7 +6,9 @@ from itertools import islice
 
 import pytest
 
+from limtower import towers as towers_mod
 from limtower.groups import (
+    FgAbGroup,
     GroupMap,
     Subgroup,
     TRIVIAL_GROUP,
@@ -187,6 +189,47 @@ class TestStabilizationPass:
                     break
                 reference.append(nxt)
             assert list(islice(_image_stages(t, _full_stage(t)), 41)) == reference
+
+    def test_witnessed_finite_stage_builds_only_the_stages_below_it(self, monkeypatch):
+        calls = []
+        counted = towers_mod.image_of_subgroup
+        monkeypatch.setattr(
+            towers_mod, "image_of_subgroup", lambda h, sub: calls.append(1) or counted(h, sub)
+        )
+        t = witnessed_tail()
+        for n, steps in ((0, 0), (3, 3), (64, 16)):
+            calls.clear()
+            st = transfinite_image(t, ord_from_int(n), horizon=16)
+            assert len(calls) == steps
+            assert st.exact == (n <= 16)
+
+    def test_witness_d_is_charpoly_constant_term(self):
+        """d = |q(0)| where det(xI - e) = x^k q(x), q(0) != 0 (sympy oracle)."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(53)
+        x = sympy.Symbol("x")
+        rank_drops = witnessed = 0
+        for k in range(150):
+            r = 2 + k % 5
+            e = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            if k % 2:  # singular: a zero column, so the eventual image can lose rank
+                j = rng.randrange(r)
+                for row in e:
+                    row[j] = 0
+            coeffs = sympy.Matrix(e).charpoly(x).all_coeffs()
+            d = abs(int(next((c for c in reversed(coeffs) if c), 0)))
+            if d == 0 or all(e[i][j] == (e[0][0] if i == j else 0) for i in range(r) for j in range(r)):
+                continue  # nilpotent, or a multiplication with its own witness
+            g = FgAbGroup(r, ())
+            rep = analyze(Tower((), (), ConstantEndo(g, GroupMap(g, g, e))))
+            if d >= 2:
+                witnessed += 1
+                rank_drops += (sympy.Matrix(e) ** r).rank() < r
+                assert rep.ml_status.kind == "never"
+                assert f"grows by {d} per step" in rep.ml_status.witness
+            else:
+                assert rep.ml_status.kind == "stabilized"
+        assert witnessed >= 100 and rank_drops >= 40
 
     def test_analyze_keeps_no_reference_to_the_tower(self):
         t = random_finite_tower(random.Random(7))
