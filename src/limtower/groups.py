@@ -402,10 +402,9 @@ TRIVIAL_GROUP = FgAbGroup(0, ())
 
 def enumerate_elements(group: FgAbGroup, cap: int = DEFAULT_ENUM_CAP):
     """Iterate every element of a finite group; raises past the cap."""
-    if not group.is_finite():
-        raise ValueError("cannot enumerate an infinite group")
     order = group.order()
-    assert order is not None
+    if order is None:
+        raise ValueError("cannot enumerate an infinite group")
     if order > cap:
         raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
     ranges = [range(d) for d in group.invariant_factors]
@@ -614,8 +613,13 @@ class Subgroup:
 
     @classmethod
     def full(cls, ambient: FgAbGroup) -> "Subgroup":
-        n = ambient.ngens
-        return cls(ambient, [unit_vector(n, i) for i in range(n)])
+        # The unit rows are already a reduced echelon basis with pivots 1,
+        # and every torsion row o*e_i reduces to zero against them, so the
+        # Hermite basis is the identity and needs no reduction.
+        sub = cls.__new__(cls)
+        sub.ambient = ambient
+        sub.generators = sub.basis = tuple(map(tuple, _eye(ambient.ngens)))
+        return sub
 
     @classmethod
     def zero(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -642,7 +646,8 @@ class Subgroup:
         return all(self.contains(unit_vector(n, i)) for i in range(n))
 
     def is_trivial(self) -> bool:
-        return self.as_group().is_trivial()
+        # generators are stored reduced, so a nonzero element has a nonzero entry
+        return not any(any(g) for g in self.generators)
 
     @cached_property
     def _form(self) -> tuple[Presentation, tuple[Vector, ...]]:
@@ -653,7 +658,8 @@ class Subgroup:
         for i, o in enumerate(self.ambient.orders):
             if o:
                 coeffs = lattice_solve(self.basis, unit_vector(n, i, o))
-                assert coeffs is not None  # torsion rows were folded into the lattice
+                if coeffs is None:  # torsion rows are folded into every lattice
+                    raise RuntimeError("ambient torsion row outside the subgroup lattice")
                 rels.append(coeffs)
         pres = group_from_presentation(len(self.basis), rels)
         return pres, self.basis

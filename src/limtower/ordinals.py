@@ -343,6 +343,7 @@ def random_smaller_ordinal(rng, a: OrdinalCNF) -> OrdinalCNF | None:
     ):
         kept.append((ZERO, rng.randint(1, 5)))
     out = OrdinalCNF(tuple(kept))
-    assert out < a
+    if not out < a:
+        raise RuntimeError(f"drew {out}, which is not below {a}")
     return out
 

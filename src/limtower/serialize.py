@@ -91,13 +91,21 @@ def _int_rows(value, path: str) -> list[list[int]]:
     return rows
 
 
-def group_from_json(obj: dict, path: str = "group") -> FgAbGroup:
+def group_from_json(obj: dict, path: str = "group", built: dict | None = None) -> FgAbGroup:
+    """The group at `path`; `built` maps (rank, factors) to groups already made.
+
+    Passing one `built` dict across a parse makes equal groups one object.
+    The lookup comes after the type checks, since True == 1 and 1.0 == 1.
+    """
+    built = {} if built is None else built
     obj = _object(obj, path)
     rank = _int(_field(obj, path, "free_rank"), f"{path}.free_rank")
     if rank < 0:
         raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
-    factors = _ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")
-    return _checked(f"{path}.invariant_factors", FgAbGroup, rank, tuple(factors))
+    key = (rank, tuple(_ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")))
+    if key not in built:
+        built[key] = _checked(f"{path}.invariant_factors", FgAbGroup, *key)
+    return built[key]
 
 
 def map_to_json(h: GroupMap) -> dict:
@@ -108,10 +116,10 @@ def map_to_json(h: GroupMap) -> dict:
     }
 
 
-def map_from_json(obj: dict, path: str = "map") -> GroupMap:
+def map_from_json(obj: dict, path: str = "map", built: dict | None = None) -> GroupMap:
     obj = _object(obj, path)
-    dom = group_from_json(_field(obj, path, "domain"), f"{path}.domain")
-    cod = group_from_json(_field(obj, path, "codomain"), f"{path}.codomain")
+    dom = group_from_json(_field(obj, path, "domain"), f"{path}.domain", built)
+    cod = group_from_json(_field(obj, path, "codomain"), f"{path}.codomain", built)
     rows = _int_rows(_field(obj, path, "matrix"), f"{path}.matrix")
     return _checked(f"{path}.matrix", GroupMap, dom, cod, rows)
 
@@ -140,13 +148,14 @@ def tower_from_json(obj: dict) -> Tower:
         group = group_from_json(_field(obj, "", "group"))
         m = _int(_field(obj, "", "multiplier"), "multiplier")
         return Tower((), (), ConstantEndo(group, multiplication_map(group, m)))
+    built: dict = {}  # one group object per distinct group in this tower
     prefix = _list(obj.get("prefix", []), "prefix")
     groups = []
     maps = []
     for i, entry in enumerate(prefix):
         path = f"prefix[{i}]"
         entry = _object(entry, path)
-        groups.append(group_from_json(_field(entry, path, "group"), f"{path}.group"))
+        groups.append(group_from_json(_field(entry, path, "group"), f"{path}.group", built))
         mtp = entry.get("map_to_previous")
         if i == 0:
             if mtp is not None:
@@ -154,7 +163,7 @@ def tower_from_json(obj: dict) -> Tower:
         else:
             if mtp is None:
                 raise _bad(f"{path}.map_to_previous", "a map", mtp)
-            maps.append(map_from_json(mtp, f"{path}.map_to_previous"))
+            maps.append(map_from_json(mtp, f"{path}.map_to_previous", built))
     tail_obj = _object(obj.get("tail", {"kind": "zero"}), "tail")
     kind = tail_obj.get("kind")
     if kind == "zero":
@@ -163,8 +172,8 @@ def tower_from_json(obj: dict) -> Tower:
         tail = _checked(
             "tail.endo",
             ConstantEndo,
-            group_from_json(_field(tail_obj, "tail", "group"), "tail.group"),
-            map_from_json(_field(tail_obj, "tail", "endo"), "tail.endo"),
+            group_from_json(_field(tail_obj, "tail", "group"), "tail.group", built),
+            map_from_json(_field(tail_obj, "tail", "endo"), "tail.endo", built),
         )
     else:
         raise _bad("tail.kind", '"zero" or "constant_endo"', kind)

@@ -105,13 +105,13 @@ def group_from_elements(ambient: FgAbGroup, elems) -> FgAbGroup:
             counts.append(c)
         mults = []
         for k in range(1, len(counts)):
-            assert counts[k] % counts[k - 1] == 0
-            ratio = counts[k] // counts[k - 1]
+            ratio, rest = divmod(counts[k], counts[k - 1])
             mk = 0
-            while ratio > 1:
-                assert ratio % p == 0
+            while ratio > 1 and ratio % p == 0:
                 ratio //= p
                 mk += 1
+            if rest or ratio != 1:
+                raise RuntimeError(f"{p}-torsion counts {counts} do not grow by powers of {p}")
             mults.append(mk)
         powers: list[int] = []
         for k in range(1, len(mults) + 1):

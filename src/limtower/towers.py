@@ -343,7 +343,8 @@ def image_tower(s: Tower) -> tuple[Tower, TowerMorphism, Tower]:
     stage1 = _image_step(s, _full_stage(s))
     img, include = subtower(s, stage1)
     quot, _ = quotient_tower(s, stage1)
-    assert is_null_tower(quot)
+    if not is_null_tower(quot):
+        raise RuntimeError("S/I(S) must be a null tower")
     return img, include, quot
 
 
@@ -486,6 +487,10 @@ class _Stabilization:
     omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
     multiplier: int | None  # m when the tail map is multiplication by m
 
+    def __post_init__(self) -> None:
+        if self.status.kind == "stabilized" and self.stable_subs is None:
+            raise RuntimeError("a stabilized chain must carry its stable stage")
+
 
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
     """subs and its successive image steps, ending before the first repeat.
@@ -575,7 +580,6 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
     st = _stabilize(s, horizon)
     if not beta.is_finite():
         if st.status.kind == "stabilized":
-            assert st.stable_subs is not None
             return FiltrationStage(beta, st.stable_subs, True, beta)
         if st.omega_chain is not None:
             for j, subs in enumerate(st.omega_chain):
@@ -593,7 +597,7 @@ def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON
         n = beta.to_int()
         if n < len(chain):
             return FiltrationStage(beta, chain[n], True, beta)
-        if st.stable_subs is not None and st.status.kind == "stabilized":
+        if st.status.kind == "stabilized":
             return FiltrationStage(beta, st.stable_subs, True, beta)
     deepest = ord_from_int(len(chain) - 1)
     return FiltrationStage(beta, chain[-1], False, deepest)
@@ -678,7 +682,6 @@ def is_local(s: Tower, horizon: int = DEFAULT_HORIZON) -> bool | None:
 
 def _is_local(st: _Stabilization) -> bool | None:
     if st.status.kind == "stabilized":
-        assert st.stable_subs is not None
         return all(sub.is_trivial() for sub in st.stable_subs)
     if st.status.kind == "never":
         return False

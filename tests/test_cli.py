@@ -40,6 +40,27 @@ class TestSerialize:
         assert t.group(0) == fg_group(8)
         assert t.step_map(0).matrix == multiplication_map(fg_group(8), 2).matrix
 
+    def test_one_object_per_distinct_group(self):
+        z4 = {"free_rank": 0, "invariant_factors": [4]}
+        z2 = {"free_rank": 0, "invariant_factors": [2]}
+        obj = {
+            "prefix": [
+                {"group": z2, "map_to_previous": None},
+                {"group": z4, "map_to_previous": {"domain": z4, "codomain": z2, "matrix": [[1]]}},
+                {"group": z4, "map_to_previous": {"domain": z4, "codomain": z4, "matrix": [[2]]}},
+            ],
+            "tail": {"kind": "constant_endo", "group": z4, "endo": {"domain": z4, "codomain": z4, "matrix": [[3]]}},
+        }
+        t = tower_from_json(obj)
+        g0, g1, g2 = t.prefix_groups
+        f0, f1 = t.prefix_maps
+        assert g1 is g2 and g0 is not g1
+        assert f0.codomain is g0 and f0.domain is g1
+        assert f1.codomain is g1 and f1.domain is g2
+        assert t.tail.group is g2 and t.tail.endo.domain is g2 and t.tail.endo.codomain is g2
+        # separate parses share nothing
+        assert tower_from_json(obj).prefix_groups[0] is not g0
+
     def test_bad_tower_json(self):
         with pytest.raises(ValueError):
             tower_from_json({"prefix": [], "tail": {"kind": "mystery"}})
@@ -57,6 +78,7 @@ class TestSerialize:
 
 
 Z = {"free_rank": 1, "invariant_factors": []}
+Z2 = {"free_rank": 0, "invariant_factors": [2]}
 
 
 @pytest.fixture
@@ -151,6 +173,23 @@ class TestCli:
              "'group.invariant_factors'"),
             ("analyze", {"tail": {"kind": "constant_endo", "group": Z, "endo": {"domain": Z, "codomain": Z, "matrix": [[1, 2]]}}},
              "'tail.endo.matrix'"),
+            # a map group equal in value to a group parsed before it is still checked at its own path
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
+                "domain": {"free_rank": True}, "codomain": Z, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.domain.free_rank'"),
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
+                "domain": {"free_rank": 1.0}, "codomain": Z, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.domain.free_rank'"),
+            ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
+                "domain": {"free_rank": 0, "invariant_factors": [2.0]}, "codomain": Z2, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.domain.invariant_factors[0]'"),
+            ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
+                "domain": Z2, "codomain": {"free_rank": 0.0, "invariant_factors": [2]}, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.codomain.free_rank'"),
+            # a map whose domain is not its neighbour still fails to chain
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
+                "domain": Z2, "codomain": Z, "matrix": [[0]]}}]},
+             "prefix map 0 does not chain"),
         ],
     )
     def test_ill_typed_field_exit_two(self, tmp_path, capsys, command, body, field):

@@ -204,6 +204,69 @@ class TestSubgroups:
         assert cok.group == fg_group(3)
 
 
+def _random_map(rng, dom, cod):
+    """A random homomorphism; about a third of its columns are zero."""
+    cols = []
+    for d in dom.orders:
+        if rng.random() < 0.3:
+            cols.append(cod.zero())
+        elif d:
+            cols.append(rng.choice(annihilator_elements(cod, d)))
+        else:
+            cols.append(tuple(rng.randint(-3, 3) for _ in cod.orders))
+    return GroupMap(dom, cod, tuple(tuple(c[i] for c in cols) for i in range(cod.ngens)))
+
+
+class TestTrivialityFastPath:
+    AMBIENTS = [
+        TRIVIAL_GROUP,
+        fg_group(4), fg_group(2, 4), fg_group(3, 9), fg_group(12),  # finite
+        FgAbGroup(1), FgAbGroup(2), FgAbGroup(3),  # free
+        FgAbGroup(1, (2,)), FgAbGroup(2, (3, 6)), FgAbGroup(1, (2, 4)),  # mixed
+    ]
+
+    def _subgroups(self, rng):
+        for g in self.AMBIENTS:
+            yield Subgroup.zero(g)
+            yield Subgroup.full(g)
+            for _ in range(12):
+                h = _random_map(rng, rng.choice(self.AMBIENTS), g)
+                yield image(h)
+                yield kernel(_random_map(rng, g, rng.choice(self.AMBIENTS)))
+                # a chain of images under endomorphisms, which often dies out
+                sub = Subgroup.full(g)
+                for _ in range(rng.randint(1, 5)):
+                    e = _random_map(rng, g, g) if rng.random() < 0.5 else multiplication_map(g, rng.choice([0, 2, 3, 6]))
+                    sub = image_of_subgroup(e, sub)
+                    yield sub
+
+    def test_matches_the_presented_group(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for sub in self._subgroups(rng):
+            assert sub.is_trivial() == sub.as_group().is_trivial(), (sub.ambient, sub.generators)
+            outcomes.append(sub.is_trivial())
+        # both answers occur often, so neither side of the test is vacuous
+        assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+    def test_trivial_subgroup_with_nonzero_input_generators(self):
+        # generators that vanish only after reduction into the ambient group
+        assert Subgroup(fg_group(4), [(4,), (-8,)]).is_trivial()
+        assert not Subgroup(FgAbGroup(1, (2,)), [(2, 1)]).is_trivial()
+
+    def test_full_is_the_span_of_the_unit_vectors(self):
+        for g in self.AMBIENTS:
+            n = g.ngens
+            spanned = Subgroup(g, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
+            full = Subgroup.full(g)
+            assert full.basis == spanned.basis
+            assert full.generators == spanned.generators
+            assert full.as_group() == spanned.as_group() == g
+            assert full.include().matrix == spanned.include().matrix
+            assert full == spanned and full.is_full()
+            assert full.is_trivial() == g.is_trivial()
+
+
 class TestSums:
     def test_direct_sum_projections(self):
         a, b = fg_group(2), fg_group(3)

@@ -1,0 +1,32 @@
+"""Internal invariants are explicit checks, so `python -O` keeps them."""
+
+import ast
+import pathlib
+
+import pytest
+
+import limtower
+from limtower import towers
+from limtower.groups import fg_group
+from limtower.towers import image_tower, multiplication_tower
+
+SOURCES = sorted(pathlib.Path(limtower.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 8
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}; raise RuntimeError instead"
+
+
+def test_broken_invariant_raises_runtime_error(monkeypatch):
+    s = multiplication_tower(fg_group(8), 2)
+    image_tower(s)
+    monkeypatch.setattr(towers, "is_null_tower", lambda t: False)
+    with pytest.raises(RuntimeError, match="null tower"):
+        image_tower(s)
