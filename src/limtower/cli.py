@@ -75,6 +75,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type: ASCII digits only, where int() would also take `1_0` or other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _walker_context(args) -> wk.WalkerContext:
     return wk.WalkerContext(args.p, parse_ordinal(args.alpha))
 
@@ -233,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         q = wsub.add_parser(name, help=helptext)
         q.add_argument("element", help='element text, e.g. "3*e[0, 1] + e[w]"')
-        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--p", type=_ascii_int, required=True)
         q.add_argument("--alpha", required=True, help='ordinal bound, e.g. "w*2+3"')
         _add_json_flag(q)
         q.set_defaults(func=_cmd_walker)
     q = wsub.add_parser("ulm-probe", help="certify sampled stages of the height filtration")
     q.add_argument("betas", nargs="+", help="stage ordinals to sample")
-    q.add_argument("--p", type=int, required=True)
+    q.add_argument("--p", type=_ascii_int, required=True)
     q.add_argument("--alpha", required=True)
     _add_json_flag(q)
     q.set_defaults(func=_cmd_walker)

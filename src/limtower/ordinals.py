@@ -7,9 +7,7 @@ merge.  Multiplication is not provided; inputs like w*2 are expanded by
 the parser.
 
 Also defines the deg-lex well-order on finite strictly increasing ordinal
-sequences (shorter sequences first, then lexicographic), and a descent
-probe that walks a chooser function down the order, certifying that the
-walk terminates.
+sequences (shorter sequences first, then lexicographic).
 """
 
 from __future__ import annotations
@@ -126,96 +124,89 @@ def ord_succ(a: OrdinalCNF) -> OrdinalCNF:
 
 # --- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
+# One token per match: a digit run, a symbol, or (catch-all) the rest of the
+# text from the first character that starts no token.
+_TOKEN = re.compile(r"\s*([0-9]+|[w^*+()]|\S.*)", re.DOTALL)
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad ordinal syntax near {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+def _expr(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
+    """Fold `term (+ term)*` from tokens[pos] into one ordinal; returns it and the next position.
 
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
+    Terms are w^e*c or n.  Adding one term keeps the terms with larger
+    exponents, merges an equal exponent and absorbs smaller ones, as
+    ord_add does, so 1 + w = w.
+    """
+    terms: list[tuple[OrdinalCNF, int]] = []  # exponents strictly decreasing
+    n = len(tokens)
+    while True:
+        if pos == n:
             raise ValueError("unexpected end of ordinal expression")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> OrdinalCNF:
-        total = self.term()
-        while self.peek() == "+":
-            self.take()
-            total = ord_add(total, self.term())
-        return total
-
-    def term(self) -> OrdinalCNF:
-        tok = self.take()
+        tok = tokens[pos]
+        pos += 1
         if tok.isdigit():
-            return ord_from_int(int(tok))
-        if tok != "w":
+            e, c = ZERO, int(tok)
+        elif tok == "w":
+            e, c = ONE, 1
+            if pos < n and tokens[pos] == "^":
+                e, pos = _atom(tokens, pos + 1)
+            if pos < n and tokens[pos] == "*":
+                if pos + 1 == n:
+                    raise ValueError("unexpected end of ordinal expression")
+                if not tokens[pos + 1].isdigit():
+                    raise ValueError("coefficient must be a plain integer")
+                c = int(tokens[pos + 1])
+                pos += 2
+        else:
             raise ValueError(f"expected term, found {tok!r}")
-        exponent = ONE
-        if self.peek() == "^":
-            self.take()
-            exponent = self.atom()
-        coefficient = 1
-        if self.peek() == "*":
-            self.take()
-            c = self.take()
-            if not c.isdigit():
-                raise ValueError("coefficient must be a plain integer")
-            coefficient = int(c)
-            if coefficient == 0:
-                return ZERO
-        return omega_power(exponent, coefficient)
+        if c:
+            key = e.key
+            while terms and terms[-1][0].key < key:
+                terms.pop()
+            if terms and terms[-1][0].key == key:
+                c += terms.pop()[1]
+            terms.append((e, c))
+        if pos == n or tokens[pos] != "+":
+            return (OrdinalCNF(tuple(terms)) if terms else ZERO), pos
+        pos += 1
 
-    def atom(self) -> OrdinalCNF:
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            inner = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis in ordinal")
-            return inner
-        tok = self.take()
-        if tok.isdigit():
-            return ord_from_int(int(tok))
-        if tok == "w":
-            return OMEGA
-        raise ValueError(f"expected exponent, found {tok!r}")
+
+def _atom(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
+    """An exponent: a parenthesised expression, an integer or w."""
+    if pos == len(tokens):
+        raise ValueError("unexpected end of ordinal expression")
+    tok = tokens[pos]
+    if tok == "(":
+        inner, pos = _expr(tokens, pos + 1)
+        if pos == len(tokens):
+            raise ValueError("unexpected end of ordinal expression")
+        if tokens[pos] != ")":
+            raise ValueError("unbalanced parenthesis in ordinal")
+        return inner, pos + 1
+    if tok.isdigit():
+        return ord_from_int(int(tok)), pos + 1
+    if tok == "w":
+        return OMEGA, pos + 1
+    raise ValueError(f"expected exponent, found {tok!r}")
 
 
 def parse_ordinal(text: str) -> OrdinalCNF:
-    """Parse textual CNF syntax.
+    """Parse textual CNF syntax: ASCII digits, w, ^, *, + and parentheses.
 
     >>> str(parse_ordinal("w^2*3 + w*1 + 4"))
     'w^2*3 + w + 4'
     >>> parse_ordinal("1 + w") == OMEGA
     True
     """
-    p = _Parser(_tokenize(text))
-    if p.peek() is None:
+    tokens = _TOKEN.findall(text)
+    if tokens and tokens[-1][0] not in "0123456789w^*+()":
+        # quote from the end of the last good token, whitespace included
+        start = len(text[: len(text) - len(tokens[-1])].rstrip())
+        raise ValueError(f"bad ordinal syntax near {text[start:]!r}")
+    if not tokens:
         raise ValueError("empty ordinal expression")
-    out = p.expr()
-    if p.peek() is not None:
-        raise ValueError(f"trailing tokens in ordinal: {p.tokens[p.pos:]}")
+    out, pos = _expr(tokens, 0)
+    if pos < len(tokens):
+        raise ValueError(f"trailing tokens in ordinal: {tokens[pos:]}")
     return out
 
 
@@ -272,37 +263,6 @@ class DegLexIndex:
 def deglex_compare(a: DegLexIndex, b: DegLexIndex) -> int:
     """Length first, then lexicographic entrywise."""
     return (a.key > b.key) - (a.key < b.key)
-
-
-def min_index_of_length(n: int) -> DegLexIndex:
-    """The deg-lex least index of a given length: (0, 1, ..., n-1)."""
-    return DegLexIndex(tuple(ord_from_int(k) for k in range(n)))
-
-
-class DescentCapExceeded(RuntimeError):
-    pass
-
-
-def deglex_descent_probe(start: DegLexIndex, chooser, step_cap: int = 10**5) -> int:
-    """Walk `chooser` down the deg-lex order until it signals exhaustion.
-
-    chooser(index) must return a strictly smaller index or None.  Returns
-    the number of descents taken.  Raises DescentCapExceeded past the cap
-    and ValueError if the chooser ever fails to descend: termination of
-    every such walk is exactly the well-foundedness of the order.
-    """
-    current = start
-    steps = 0
-    while True:
-        nxt = chooser(current)
-        if nxt is None:
-            return steps
-        if nxt >= current:
-            raise ValueError(f"chooser failed to descend: {nxt} from {current}")
-        current = nxt
-        steps += 1
-        if steps > step_cap:
-            raise DescentCapExceeded(f"no exhaustion within {step_cap} steps")
 
 
 # --- pseudorandom descent helpers ---------------------------------------------

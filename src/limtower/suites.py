@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .groups import (
     FgAbGroup,
@@ -713,22 +712,6 @@ def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult
     return CheckResult(
         "adjunction-and-window", True, f"{checks} hom-set bijections, {windows} window inverses verified"
     )
-
-
-def acceptance_criteria(seed: int = 0) -> list[CheckResult]:
-    rng = random.Random(seed)
-    return [
-        criterion_snf_certificates(random.Random(seed)),
-        criterion_finite_ml(random.Random(seed + 1)),
-        criterion_shift_invariance(),
-        criterion_quotient_vanishing(random.Random(seed + 2)),
-        criterion_closed_forms(),
-        criterion_decomposition(random.Random(seed + 3)),
-        criterion_locality_closure(random.Random(seed + 4)),
-        criterion_walker_normal_form(random.Random(seed + 5)),
-        criterion_ulm_length(),
-        criterion_adjunction_window(rng),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ height of zero is alpha by convention (p^alpha D'_alpha = 0).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_ordinal
@@ -289,9 +290,16 @@ def ulm_probe(ctx: WalkerContext, sample) -> UlmProbeReport:
 def format_element(x: WalkerElement) -> str:
     if not x.support:
         return "0"
+    shown: dict[OrdinalCNF, str] = {}  # entry -> its text, for this call only
     parts = []
     for i, (idx, c) in enumerate(x.support):
-        body = f"{abs(c)}*e[" + ", ".join(str(e) for e in idx.entries) + "]"
+        names = []
+        for e in idx.entries:
+            name = shown.get(e)
+            if name is None:
+                name = shown[e] = str(e)
+            names.append(name)
+        body = f"{abs(c)}*e[" + ", ".join(names) + "]"
         if i == 0:
             parts.append(body if c > 0 else "-" + body)
         else:
@@ -299,40 +307,41 @@ def format_element(x: WalkerElement) -> str:
     return " ".join(parts)
 
 
+_SPLIT_CHARS = re.compile(r"[\[\]+-]")
+
+
 def _split_terms(text: str) -> list[tuple[int, str]]:
     """Split on top-level +/- (bracket-aware: ordinals contain + and *)."""
     terms = []
     sign = 1
     depth = 0
-    cur = []
-    ops_run = 0  # rejects `a ++ b`; one leading sign is still fine
-    for ch in text:
+    start = 0  # where the current term's text begins
+    seen_op = False  # one leading sign is fine, `a ++ b` is not
+    for m in _SPLIT_CHARS.finditer(text):
+        ch = m.group()
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
             if depth < 0:
                 raise ValueError("unbalanced brackets")
-        if depth == 0 and ch in "+-":
-            if "".join(cur).strip():
-                terms.append((sign, "".join(cur).strip()))
+        elif not depth:
+            chunk = text[start : m.start()].strip()
+            if chunk:
+                terms.append((sign, chunk))
                 sign = 1
-                ops_run = 0
-            elif ops_run or terms:
+            elif seen_op:
                 raise ValueError("consecutive +/- operators")
-            ops_run += 1
-            sign *= -1 if ch == "-" else 1
-            cur = []
-        else:
-            if not ch.isspace():
-                ops_run = 0
-            cur.append(ch)
+            seen_op = True
+            if ch == "-":
+                sign = -sign
+            start = m.end()
     if depth:
         raise ValueError("unbalanced brackets")
-    last = "".join(cur).strip()
+    last = text[start:].strip()
     if last:
         terms.append((sign, last))
-    elif ops_run:
+    elif seen_op:
         raise ValueError("trailing +/- operator")
     if not terms:
         raise ValueError("no terms")
@@ -342,18 +351,24 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
 def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     """Parse `3*e[0,1] + 1*e[w] - 2*e[w+1, w*2]`; `0` is the zero element.
 
-    A missing coefficient means 1.  Index entries use the ordinal syntax
-    of the surrounding toolkit.  The result is raw (not normalized).
+    A missing coefficient means 1, and a coefficient is ASCII digits.
+    Index entries use the ordinal syntax of the surrounding toolkit; each
+    distinct entry text is parsed once per call.  The result is raw (not
+    normalized).
     """
     text = text.strip()
     if text == "0":
         return ctx.zero()
+    parsed: dict[str, OrdinalCNF] = {}  # entry text -> ordinal, for this call only
     terms = []
     for sign, chunk in _split_terms(text):
         chunk = chunk.replace(" ", "")
-        if "*e" in chunk:
-            coeff_text, _, rest = chunk.partition("*e")
-            coeff = int(coeff_text.strip())
+        coeff_text, star_e, rest = chunk.partition("*e")
+        if star_e:
+            coeff_text = coeff_text.strip()
+            if not (coeff_text.isascii() and coeff_text.isdigit()):
+                raise ValueError(f"bad coefficient in term {chunk!r}")
+            coeff = int(coeff_text)
         elif chunk.startswith("e"):
             coeff, rest = 1, chunk[1:]
         else:
@@ -361,6 +376,11 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
         rest = rest.strip()
         if not (rest.startswith("[") and rest.endswith("]")):
             raise ValueError(f"expected e[...] in term {chunk!r}")
-        entries = [parse_ordinal(part) for part in rest[1:-1].split(",")]
+        entries = []
+        for part in rest[1:-1].split(","):
+            e = parsed.get(part)
+            if e is None:
+                e = parsed[part] = parse_ordinal(part)
+            entries.append(e)
         terms.append((entries, sign * coeff))
     return ctx.element(terms)

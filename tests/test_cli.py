@@ -221,6 +221,33 @@ class TestCli:
     def test_walker_bad_element_exit_two(self, capsys):
         assert main(["walker", "normalize", "e[]", "--p", "2", "--alpha", "w"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # int() reads these as 10 and 3; only ASCII digit runs are integers
+            (["normalize", "1_0*e[0]"], "'1_0*e[0]'"),
+            (["normalize", "٣*e[0]"], "'٣*e[0]'"),
+            (["normalize", "e[٣]"], "'٣'"),
+            (["height", "e[1٣]"], "'٣'"),
+            (["ulm-probe", "٣"], "'٣'"),
+            (["normalize", "e[0]", "--p", "٣"], "--p"),
+            (["normalize", "e[0]", "--p", "1_1"], "--p"),
+            (["normalize", "2*3*e[0]"], "'2*3*e[0]'"),
+        ],
+        ids=["underscore-coefficient", "arabic-indic-coefficient", "arabic-indic-entry", "mixed-digits-entry",
+             "arabic-indic-stage", "arabic-indic-p", "underscore-p", "product-coefficient"],
+    )
+    def test_walker_bad_input_exit_two(self, capsys, argv, named):
+        if "--p" not in argv:
+            argv = argv + ["--p", "3"]
+        try:
+            code = main(["walker"] + argv + ["--alpha", "w"])
+        except SystemExit as exc:  # argparse rejects a bad flag value this way
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "invalid literal" not in err
+
     def test_suite_runs(self, capsys):
         assert main(["suite", "paper-examples"]) == 0
         out = capsys.readouterr().out

@@ -30,3 +30,29 @@ def test_broken_invariant_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(towers, "is_null_tower", lambda t: False)
     with pytest.raises(RuntimeError, match="null tower"):
         image_tower(s)
+
+
+def _cache_decorators(tree) -> list[int]:
+    """Lines that name functools.cache or functools.lru_cache, imported or by attribute."""
+    banned = {"cache", "lru_cache"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in banned]
+        elif isinstance(node, ast.Attribute) and node.attr in banned:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_hidden_cache(path):
+    # results are computed once and passed around; a memo lives inside one call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _cache_decorators(tree)
+    assert lines == [], f"{path.name} uses a functools cache at lines {lines}"
+
+
+def test_cache_check_sees_both_spellings():
+    text = "import functools\nfrom functools import lru_cache\n@functools.cache\ndef f(): pass\n"
+    assert _cache_decorators(ast.parse(text)) == [2, 3]

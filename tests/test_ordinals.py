@@ -8,11 +8,8 @@ from limtower.ordinals import (
     ONE,
     ZERO,
     DegLexIndex,
-    DescentCapExceeded,
     OrdinalCNF,
     deglex_compare,
-    deglex_descent_probe,
-    min_index_of_length,
     omega_power,
     ord_add,
     ord_compare,
@@ -26,6 +23,37 @@ from limtower.ordinals import (
 
 def o(text: str) -> OrdinalCNF:
     return parse_ordinal(text)
+
+
+def min_index_of_length(n: int) -> DegLexIndex:
+    """The deg-lex least index of a given length: (0, 1, ..., n-1)."""
+    return DegLexIndex(tuple(ord_from_int(k) for k in range(n)))
+
+
+class DescentCapExceeded(RuntimeError):
+    pass
+
+
+def deglex_descent_probe(start: DegLexIndex, chooser, step_cap: int = 10**5) -> int:
+    """Walk `chooser` down the deg-lex order until it signals exhaustion.
+
+    chooser(index) must return a strictly smaller index or None.  Returns
+    the number of descents taken.  Raises DescentCapExceeded past the cap
+    and ValueError if the chooser ever fails to descend: termination of
+    every such walk is exactly the well-foundedness of the order.
+    """
+    current = start
+    steps = 0
+    while True:
+        nxt = chooser(current)
+        if nxt is None:
+            return steps
+        if nxt >= current:
+            raise ValueError(f"chooser failed to descend: {nxt} from {current}")
+        current = nxt
+        steps += 1
+        if steps > step_cap:
+            raise DescentCapExceeded(f"no exhaustion within {step_cap} steps")
 
 
 def reference_compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
