@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full report for a tower JSON file")
     p_an.add_argument("tower", help="path to a tower description (JSON)")
-    p_an.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p_an.add_argument("--horizon", type=_ascii_int, default=DEFAULT_HORIZON)
     _add_json_flag(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_su = sub.add_parser("suite", help="run a named verification suite")
     p_su.add_argument("name", help="paper-examples or property-suite")
-    p_su.add_argument("--seed", type=int, default=0)
+    p_su.add_argument("--seed", type=_ascii_int, default=0)
     _add_json_flag(p_su)
     p_su.set_defaults(func=_cmd_suite)
 

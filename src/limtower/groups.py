@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 Matrix = list[list[int]]
 Vector = tuple[int, ...]
@@ -463,7 +464,7 @@ class GroupMap:
         return GroupMap(other.domain, self.codomain, mat)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.matrix)
+        return not any(map(any, self.matrix))
 
     def is_surjective(self) -> bool:
         return image(self).is_full()
@@ -602,14 +603,25 @@ class Subgroup:
     __slots__ = ("ambient", "generators", "basis", "__dict__")
 
     def __init__(self, ambient: FgAbGroup, generators) -> None:
+        self._span(ambient, tuple(ambient.reduce(g) for g in generators))
+
+    @classmethod
+    def _of_reduced(cls, ambient: FgAbGroup, generators: tuple[Vector, ...]) -> "Subgroup":
+        """The subgroup spanned by generators already reduced into `ambient`."""
+        sub = cls.__new__(cls)
+        sub._span(ambient, generators)
+        return sub
+
+    def _span(self, ambient: FgAbGroup, generators: tuple[Vector, ...]) -> None:
         self.ambient = ambient
-        self.generators = tuple(ambient.reduce(g) for g in generators)
+        self.generators = generators
         n = ambient.ngens
-        rows = [list(g) for g in self.generators]
-        for i, o in enumerate(ambient.orders):
-            if o:
-                rows.append(unit_vector(n, i, o))
-        self.basis = row_hermite_basis(rows, n)
+        torsion = [unit_vector(n, i, o) for i, o in enumerate(ambient.orders) if o]
+        if any(map(any, generators)):
+            self.basis = row_hermite_basis([*generators, *torsion], n)
+        else:
+            # the torsion rows o*e_i alone are already a reduced echelon basis
+            self.basis = tuple(map(tuple, torsion))
 
     @classmethod
     def full(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -623,7 +635,7 @@ class Subgroup:
 
     @classmethod
     def zero(cls, ambient: FgAbGroup) -> "Subgroup":
-        return cls(ambient, [])
+        return cls._of_reduced(ambient, ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -647,7 +659,7 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         # generators are stored reduced, so a nonzero element has a nonzero entry
-        return not any(any(g) for g in self.generators)
+        return not any(map(any, self.generators))
 
     @cached_property
     def _form(self) -> tuple[Presentation, tuple[Vector, ...]]:
@@ -707,10 +719,24 @@ def image(h: GroupMap) -> Subgroup:
 
 
 def image_of_subgroup(h: GroupMap, sub: Subgroup) -> Subgroup:
-    """h(sub) as a subgroup of the codomain."""
+    """h(sub) as a subgroup of the codomain.
+
+    Each basis row b maps to sum_j h[r][j] * b[j] in codomain row r,
+    reduced once by the codomain orders.  A trivial `sub` or a zero `h`
+    gives the zero subgroup without any products.
+    """
     if sub.ambient != h.domain:
         raise ValueError("subgroup does not live in the domain")
-    return Subgroup(h.codomain, [h.apply(row) for row in sub.basis])
+    cod = h.codomain
+    if sub.is_trivial() or h.is_zero():
+        return Subgroup.zero(cod)
+    rows = h.matrix
+    orders = cod.orders
+    gens = tuple(
+        tuple(x % o if o else x for x, o in zip([sum(map(mul, row, b)) for row in rows], orders))
+        for b in sub.basis
+    )
+    return Subgroup._of_reduced(cod, gens)
 
 
 def kernel(h: GroupMap) -> Subgroup:

@@ -128,8 +128,11 @@ def ord_succ(a: OrdinalCNF) -> OrdinalCNF:
 # text from the first character that starts no token.
 _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()]|\S.*)", re.DOTALL)
 
+# Deepest w^( ... ) nesting parsed; each level costs two stack frames.
+MAX_NESTING = 200
 
-def _expr(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
+
+def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
     """Fold `term (+ term)*` from tokens[pos] into one ordinal; returns it and the next position.
 
     Terms are w^e*c or n.  Adding one term keeps the terms with larger
@@ -148,7 +151,7 @@ def _expr(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
         elif tok == "w":
             e, c = ONE, 1
             if pos < n and tokens[pos] == "^":
-                e, pos = _atom(tokens, pos + 1)
+                e, pos = _atom(tokens, pos + 1, depth)
             if pos < n and tokens[pos] == "*":
                 if pos + 1 == n:
                     raise ValueError("unexpected end of ordinal expression")
@@ -170,13 +173,16 @@ def _expr(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
         pos += 1
 
 
-def _atom(tokens: list[str], pos: int) -> tuple[OrdinalCNF, int]:
-    """An exponent: a parenthesised expression, an integer or w."""
+def _atom(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
+    """An exponent: a parenthesised expression, an integer or w; `depth` counts the open parentheses."""
     if pos == len(tokens):
         raise ValueError("unexpected end of ordinal expression")
     tok = tokens[pos]
     if tok == "(":
-        inner, pos = _expr(tokens, pos + 1)
+        if depth == MAX_NESTING:
+            fragment = "".join(tokens[pos : pos + 12])
+            raise ValueError(f"ordinal nested deeper than {MAX_NESTING} parentheses near {fragment!r}")
+        inner, pos = _expr(tokens, pos + 1, depth + 1)
         if pos == len(tokens):
             raise ValueError("unexpected end of ordinal expression")
         if tokens[pos] != ")":
@@ -204,7 +210,7 @@ def parse_ordinal(text: str) -> OrdinalCNF:
         raise ValueError(f"bad ordinal syntax near {text[start:]!r}")
     if not tokens:
         raise ValueError("empty ordinal expression")
-    out, pos = _expr(tokens, 0)
+    out, pos = _expr(tokens, 0, 0)
     if pos < len(tokens):
         raise ValueError(f"trailing tokens in ordinal: {tokens[pos:]}")
     return out

@@ -248,25 +248,12 @@ def _full_stage(s: Tower) -> tuple[Subgroup, ...]:
     return tuple(Subgroup.full(s.group(i)) for i in range(s.stable_index + 1))
 
 
-def _image_step(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Subgroup, ...]:
-    c = s.stable_index
-    out = []
-    for i in range(c + 1):
-        upper = subs[i + 1] if i + 1 <= c else subs[c]
-        out.append(image_of_subgroup(s.step_map(i), upper))
-    return tuple(out)
-
-
 def iterate_image(s: Tower, n: int) -> FiltrationStage:
     """I^n(S): at level i, the image of the n-fold composite S_{i+n} -> S_i."""
     if n < 0:
         raise ValueError("negative stage")
-    subs = _full_stage(s)
-    for _ in range(n):
-        nxt = _image_step(s, subs)
-        if nxt == subs:
-            break  # certified constant from here on
-        subs = nxt
+    # the chain ends at its first repeat, which holds at every later stage
+    *_, subs = islice(_image_stages(s, _full_stage(s)), n + 1)
     return FiltrationStage(ord_from_int(n), subs, True, ord_from_int(n))
 
 
@@ -340,7 +327,7 @@ def quotient_tower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMo
 
 def image_tower(s: Tower) -> tuple[Tower, TowerMorphism, Tower]:
     """(I(S), inclusion, S/I(S)); the quotient is a null tower."""
-    stage1 = _image_step(s, _full_stage(s))
+    *_, stage1 = islice(_image_stages(s, _full_stage(s)), 2)
     img, include = subtower(s, stage1)
     quot, _ = quotient_tower(s, stage1)
     if not is_null_tower(quot):
@@ -495,27 +482,32 @@ class _Stabilization:
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
     """subs and its successive image steps, ending before the first repeat.
 
+    Requires every level of `subs` to contain the same level of the next
+    stage, as the full stage and the omega stage do; then every stage
+    contains the next, so a trivial level stays trivial and is not stepped.
     Level i of the next stage is the image of level min(i+1, c) under f_i,
-    so it is recomputed only when that level moved in the last step and
-    reused otherwise.  A recomputed level equal to the old one is replaced
-    by the old object, so `is` tells which levels moved.
+    so only the levels that read a level that moved are recomputed.  A
+    recomputed level equal to the old one keeps the old object, so `is`
+    tells which levels moved.
     """
     c = s.stable_index
-    moved = [True] * (c + 1)
+    todo = range(c + 1)
     while True:
         yield subs
-        nxt = []
-        for i in range(c + 1):
-            upper = min(i + 1, c)
-            if moved[upper]:
-                img = image_of_subgroup(s.step_map(i), subs[upper])
-                nxt.append(subs[i] if img == subs[i] else img)
-            else:
-                nxt.append(subs[i])
-        moved = [a is not b for a, b in zip(nxt, subs)]
-        if not any(moved):
+        nxt = list(subs)
+        moved = []
+        for i in todo:
+            if subs[i].is_trivial():
+                continue
+            img = image_of_subgroup(s.step_map(i), subs[min(i + 1, c)])
+            if img != subs[i]:
+                nxt[i] = img
+                moved.append(i)
+        if not moved:
             return
         subs = tuple(nxt)
+        # level i reads level i + 1, and the stable level c also reads itself
+        todo = [u - 1 for u in moved if u] + ([c] if moved[-1] == c else [])
 
 
 def _stabilize(s: Tower, horizon: int) -> _Stabilization:

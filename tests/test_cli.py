@@ -248,6 +248,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert named in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("analyze", "--horizon", "٣"),
+            ("analyze", "--horizon", "1_0"),
+            ("suite", "--seed", "١_٠"),
+            ("suite", "--seed", "٣"),
+        ],
+        ids=["arabic-indic-horizon", "underscore-horizon", "mixed-seed", "arabic-indic-seed"],
+    )
+    def test_integer_flag_exit_two(self, tower_file, capsys, command, flag, value):
+        # int() reads these as 3, 10, 10 and 3
+        target = tower_file if command == "analyze" else "paper-examples"
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value this way
+            main([command, target, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["stage", "alpha"])
+    def test_deeply_nested_ordinal_exit_two(self, capsys, where):
+        deep = "w^(" * 1000 + "1" + ")" * 1000
+        stage, alpha = (deep, "w") if where == "stage" else ("0", deep)
+        assert main(["walker", "ulm-probe", stage, "--p", "2", "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert "nested deeper than 200 parentheses near '(w^(w^" in err
+
     def test_suite_runs(self, capsys):
         assert main(["suite", "paper-examples"]) == 0
         out = capsys.readouterr().out

@@ -101,6 +101,55 @@ class TestLattices:
                         got[j] += c * b[j]
                 assert got == list(r)
 
+    @staticmethod
+    def _oracle_matrices():
+        """300 seeded matrices; a third repeat a scaled row and a third have a zero column."""
+        rng = random.Random(11)
+        for k in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            if k % 3 == 0 and m > 1:
+                a, b = rng.sample(range(m), 2)
+                rows[a] = [rng.randint(-3, 3) * x for x in rows[b]]
+            elif k % 3 == 1:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+            yield rows
+
+    def test_hermite_spans_the_sympy_lattice(self):
+        """Same lattice as sympy's HNF; each basis is checked against the other's span."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        deficient = 0
+        for rows in self._oracle_matrices():
+            n = len(rows[0])
+            ours = row_hermite_basis(rows, n)
+            deficient += len(ours) < min(len(rows), n)
+            # sympy's columns span the column lattice of rows^T; read bottom-up they are echelon rows
+            h = hermite_normal_form(sympy.Matrix(rows).T)
+            theirs = sorted(
+                (tuple(int(x) for x in reversed(h.col(j))) for j in range(h.cols)),
+                key=lambda r: next(i for i, x in enumerate(r) if x),
+            )
+            assert len(theirs) == len(ours), rows
+            for col in theirs:
+                assert lattice_solve(ours, col[::-1]) is not None, rows
+            for row in ours:
+                assert lattice_solve(tuple(theirs), row[::-1]) is not None, rows
+        assert deficient >= 60
+
+    def test_smith_diagonal_is_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        from sympy.polys.domains import ZZ
+
+        for rows in self._oracle_matrices():
+            _, d, _ = smith_normal_form(rows)
+            want = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=ZZ)]
+            assert [d[i][i] for i in range(min(len(rows), len(rows[0])))] == want, rows
+
     def test_kernel_basis(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -248,6 +297,28 @@ class TestTrivialityFastPath:
             outcomes.append(sub.is_trivial())
         # both answers occur often, so neither side of the test is vacuous
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+    def test_image_matches_the_image_by_definition(self):
+        rng = random.Random(77)
+        checked = trivial = 0
+        for sub in self._subgroups(rng):
+            g = sub.ambient
+            cod = rng.choice(self.AMBIENTS)
+            maps = {
+                "random": _random_map(rng, g, cod),
+                "zero": zero_map(g, cod),
+                "multiplication": multiplication_map(g, rng.choice([0, 1, 2, 3, 6])),
+            }
+            for kind, h in maps.items():
+                got = image_of_subgroup(h, sub)
+                want = Subgroup(h.codomain, [h.apply(row) for row in sub.basis])
+                assert got.basis == want.basis, (kind, h, sub.basis)
+                assert got.is_trivial() == want.is_trivial()
+                assert got.as_group() == want.as_group()
+                checked += 1
+                trivial += got.is_trivial()
+        # both answers occur often, so neither side of the test is vacuous
+        assert 300 < trivial < checked - 300
 
     def test_trivial_subgroup_with_nonzero_input_generators(self):
         # generators that vanish only after reduction into the ambient group

@@ -4,6 +4,7 @@ from functools import cmp_to_key
 import pytest
 
 from limtower.ordinals import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -150,6 +151,14 @@ class TestArithmetic:
         for bad in ("", "w**2", "2w", "w^", "+", "w+-1", "cat"):
             with pytest.raises(ValueError):
                 parse_ordinal(bad)
+
+    def test_parser_nesting_limit(self):
+        def nested(k):
+            return "w^(" * k + "1" + ")" * k
+
+        assert str(parse_ordinal(nested(MAX_NESTING))) == nested(MAX_NESTING - 1).replace("1", "w")
+        with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING} parentheses"):
+            parse_ordinal(nested(MAX_NESTING + 1))
 
     def test_smaller_sampler(self):
         rng = random.Random(31)

@@ -48,10 +48,12 @@ from limtower.towers import (
     window_difference_map,
     window_shift_map,
 )
-from limtower.towers import _full_stage, _image_stages, _image_step
+from limtower.towers import _full_stage, _image_stages
 from limtower.suites import (
     random_decidable_tower,
+    random_finite_group,
     random_finite_tower,
+    random_hom,
     random_local_tower,
     random_surjective_tower,
     thread_limit_oracle,
@@ -60,6 +62,25 @@ from limtower.suites import (
 
 def mult_tower(n, m):
     return multiplication_tower(fg_group(n), m)
+
+
+def reference_step(t, subs):
+    """One image step by the definition: every level, each basis row mapped by `apply`."""
+    c = t.stable_index
+    out = []
+    for i in range(c + 1):
+        h, upper = t.step_map(i), subs[min(i + 1, c)]
+        out.append(Subgroup(h.codomain, [h.apply(row) for row in upper.basis]))
+    return tuple(out)
+
+
+def long_finite_prefix(rng, zero_tail):
+    """A W = 30..60 prefix of small finite groups with random maps, so trivial levels and zero maps occur."""
+    groups = [random_finite_group(rng, 32) for _ in range(rng.randint(30, 60))]
+    maps = tuple(random_hom(rng, groups[i + 1], groups[i]) for i in range(len(groups) - 1))
+    if zero_tail:
+        return Tower(tuple(groups), maps, ZeroTail())
+    return Tower(tuple(groups), maps, ConstantEndo(groups[-1], random_hom(rng, groups[-1], groups[-1])))
 
 
 class TestRepresentation:
@@ -181,10 +202,11 @@ class TestStabilizationPass:
             for _ in range(15)
         )
         towers.append(Tower((z2,) * 16, maps, ConstantEndo(z2, identity_map(z2))))
+        towers += [long_finite_prefix(rng, zero_tail=k % 2 == 0) for k in range(8)]
         for t in towers:
             reference = [_full_stage(t)]
             while len(reference) <= 40:
-                nxt = _image_step(t, reference[-1])
+                nxt = reference_step(t, reference[-1])
                 if nxt == reference[-1]:
                     break
                 reference.append(nxt)
@@ -202,6 +224,23 @@ class TestStabilizationPass:
             st = transfinite_image(t, ord_from_int(n), horizon=16)
             assert len(calls) == steps
             assert st.exact == (n <= 16)
+
+    def test_trivial_level_gets_no_image_step(self, monkeypatch):
+        stepped = []
+        counted = towers_mod.image_of_subgroup
+        monkeypatch.setattr(
+            towers_mod, "image_of_subgroup", lambda h, sub: stepped.append(h) or counted(h, sub)
+        )
+        z8 = fg_group(8)
+        double = multiplication_map(z8, 2)
+        f0 = zero_map(z8, z8)
+        t = Tower((z8,) * 4, (f0, double, double), ConstantEndo(z8, double))
+        chain = list(_image_stages(t, _full_stage(t)))
+        # level 0 dies in the first step; levels 1..3 keep shrinking for two more
+        assert len(chain) == 4
+        assert all(stage[0].is_trivial() for stage in chain[1:])
+        assert not chain[2][1].is_trivial()
+        assert sum(h is f0 for h in stepped) == 1
 
     def test_witness_d_is_charpoly_constant_term(self):
         """d = |q(0)| where det(xI - e) = x^k q(x), q(0) != 0 (sympy oracle)."""
