@@ -42,7 +42,11 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
 
 def _load_json_file(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per open [ or {
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _timing(args, started: float):

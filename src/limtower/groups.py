@@ -61,7 +61,7 @@ def mat_mul(a, b, cols: int) -> Matrix:
     the trivial group has a b with no rows to read it from.
     """
     b_cols = [[row[j] for row in b] for j in range(cols)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
 def _transpose(m: Matrix, rows: int, cols: int) -> Matrix:

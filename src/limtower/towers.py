@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import mul
 
 from .groups import (
     FgAbGroup,
@@ -245,7 +246,13 @@ class FiltrationStage:
 
 
 def _full_stage(s: Tower) -> tuple[Subgroup, ...]:
-    return tuple(Subgroup.full(s.group(i)) for i in range(s.stable_index + 1))
+    groups = [s.group(i) for i in range(s.stable_index + 1)]
+    # one full subgroup per distinct group object: a long prefix repeats its groups
+    full: dict[int, Subgroup] = {}
+    for g in groups:
+        if id(g) not in full:
+            full[id(g)] = Subgroup.full(g)
+    return tuple(full[id(g)] for g in groups)
 
 
 def iterate_image(s: Tower, n: int) -> FiltrationStage:
@@ -418,7 +425,7 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
         return None  # nilpotent free action: chain bottoms out
     c_rows = []
     for row in basis:
-        w = [sum(ebar[i][j] * row[j] for j in range(r)) for i in range(r)]
+        w = [sum(map(mul, ebar_row, row)) for ebar_row in ebar]
         coeffs = lattice_solve(basis, w)
         if coeffs is None:
             raise RuntimeError("tail map does not preserve its eventual image lattice")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_ordinal
 
@@ -57,8 +58,9 @@ class WalkerContext:
 
     def index(self, entries) -> DegLexIndex:
         idx = entries if isinstance(entries, DegLexIndex) else DegLexIndex(tuple(entries))
+        alpha = self.alpha.key
         for e in idx.entries:
-            if e >= self.alpha:
+            if e.key >= alpha:
                 raise ValueError(f"index entry {e} is not below alpha = {self.alpha}")
         return idx
 
@@ -81,7 +83,7 @@ class WalkerContext:
 
 
 def _sorted_support(acc: dict[DegLexIndex, int]):
-    keys = sorted((k for k, v in acc.items() if v), reverse=True)
+    keys = sorted((k for k, v in acc.items() if v), key=attrgetter("key"), reverse=True)
     return tuple((k, acc[k]) for k in keys)
 
 
@@ -214,7 +216,7 @@ def height(x: WalkerElement) -> OrdinalCNF:
     nx = normalize(x)
     if nx.is_zero():
         return x.context.alpha
-    return min(idx.first() for idx, _ in nx.support)
+    return min((idx.first() for idx, _ in nx.support), key=attrgetter("key"))
 
 
 def in_p_beta(x: WalkerElement, beta: OrdinalCNF) -> bool:

@@ -274,6 +274,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nested deeper than 200 parentheses near '(w^(w^" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "snf"])
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([command, str(path)]) == 2
+        assert f"{path}: JSON nested too deeply to parse" in capsys.readouterr().err
+
     def test_suite_runs(self, capsys):
         assert main(["suite", "paper-examples"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Hypothesis properties of the text formats and the walker exit codes.
+"""Hypothesis properties of the text formats, the trusted constructors and the CLI exit codes.
 
 Every test is derandomized and keeps no example database, so a run is
 reproducible and leaves nothing behind.
@@ -6,13 +6,44 @@ reproducible and leaves nothing behind.
 
 import contextlib
 import io
+import json
+import os
+import pickle
+import random
+import tempfile
+from functools import cmp_to_key
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limtower.cli import main
-from limtower.ordinals import DegLexIndex, OrdinalCNF, ord_from_int, parse_ordinal
-from limtower.walker import WalkerContext, format_element, normalize, parse_element
+from limtower.groups import FgAbGroup, GroupMap
+from limtower.ordinals import (
+    ZERO,
+    DegLexIndex,
+    OrdinalCNF,
+    deglex_compare,
+    ord_compare,
+    ord_from_int,
+    parse_ordinal,
+)
+from limtower.serialize import tower_to_json
+from limtower.suites import (
+    random_decidable_tower,
+    random_finite_tower,
+    random_local_tower,
+    random_surjective_tower,
+)
+from limtower.towers import ConstantEndo, Tower
+from limtower.walker import (
+    WalkerContext,
+    format_element,
+    height,
+    normalize,
+    parse_element,
+    relation_element,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -78,3 +109,181 @@ ANY_TEXT = st.one_of(GRAMMAR_TEXT, st.text(max_size=20))
 )
 def test_walker_exits_zero_or_two(command, text, p, alpha):
     assert _exit_code(["walker", command, text, "--p", p, "--alpha", alpha]) in (0, 2)
+
+
+# --- the trusted constructors --------------------------------------------------
+
+LONG_INDICES = INDICES.filter(lambda idx: len(idx) >= 2)
+
+
+@FIXED
+@given(LONG_INDICES)
+def test_tail_matches_public_constructor(idx):
+    tail, checked = idx.tail(), DegLexIndex(idx.entries[1:])
+    assert tail == checked
+    assert tail.key == checked.key
+    assert hash(tail) == hash(checked) == hash(checked.key)
+
+
+@FIXED
+@given(ORDINALS)
+def test_parsed_ordinal_matches_public_constructor(x):
+    parsed = parse_ordinal(str(x))
+    assert parsed.key == x.key
+    assert hash(parsed) == hash(x) == hash(OrdinalCNF(parsed.terms)) == hash(x.key)
+
+
+@FIXED
+@given(normal_forms())
+def test_stored_hashes_survive_pickle(x):
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x
+    assert hash(back.context.alpha) == hash(x.context.alpha.key)
+    for (idx, _), (idx_back, _) in zip(x.support, back.support):
+        assert hash(idx_back) == hash(idx) == hash(idx.key)
+        assert all(hash(e) == hash(e.key) for e in idx_back.entries)
+
+
+@FIXED
+@given(normal_forms())
+def test_support_order_is_deglex(x):
+    positions = [idx for idx, _ in x.support]
+    assert positions == sorted(positions, key=cmp_to_key(deglex_compare), reverse=True)
+    if positions:
+        lowest = min((idx.first() for idx in positions), key=cmp_to_key(ord_compare))
+        assert height(x) == lowest
+
+
+ABOVE_ALPHA = parse_ordinal("w^(w^w) + 1")
+
+
+@st.composite
+def bad_indices(draw):
+    """Entry lists that no admissible index has: an entry >= alpha, or a step that does not increase."""
+    entries = list(draw(INDICES).entries)
+    if draw(st.booleans()):
+        return entries + [draw(st.sampled_from((ALPHA, ABOVE_ALPHA)))]
+    k = draw(st.integers(0, len(entries) - 1))
+    # a repeat, or 0 after entries[k]: 0 is below every other ordinal
+    entries.insert(k + 1, draw(st.sampled_from((entries[k], ZERO))))
+    return entries
+
+
+@FIXED
+@given(st.sampled_from((2, 3, 5)), bad_indices())
+def test_bad_indices_are_rejected_at_every_entry_point(p, entries):
+    ctx = WalkerContext(p, ALPHA)
+    text = "e[" + ", ".join(map(str, entries)) + "]"
+    for build in (
+        lambda: parse_element(ctx, text),
+        lambda: ctx.element([(entries, 1)]),
+        lambda: ctx.basis(entries),
+        lambda: relation_element(ctx, entries),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    assert _exit_code(["walker", "normalize", text, "--p", str(p), "--alpha", str(ALPHA)]) == 2
+
+
+# --- tower JSON through `limtower analyze` ---------------------------------------
+
+TOWER_EXAMPLES = settings(FIXED, max_examples=300)
+
+
+def _analyze(obj) -> tuple[int, str]:
+    """Exit code and stderr of `limtower analyze` on obj written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tower.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path, "--horizon", "16"])
+    return code, err.getvalue()
+
+
+def _seeded(maker):
+    return st.integers(0, 2**32).map(lambda seed: maker(random.Random(seed)))
+
+
+@st.composite
+def free_towers(draw):
+    """Z^r at every level, integer maps: witnessed tails, identities and everything between."""
+    z = FgAbGroup(draw(st.integers(1, 3)))
+    matrices = st.lists(st.lists(st.integers(-3, 3), min_size=z.ngens, max_size=z.ngens),
+                        min_size=z.ngens, max_size=z.ngens)
+    w = draw(st.integers(0, 3))
+    maps = tuple(GroupMap(z, z, tuple(map(tuple, draw(matrices)))) for _ in range(max(w - 1, 0)))
+    return Tower((z,) * w, maps, ConstantEndo(z, GroupMap(z, z, tuple(map(tuple, draw(matrices))))))
+
+
+VALID_TOWERS = st.one_of(
+    *map(_seeded, (random_finite_tower, random_surjective_tower, random_local_tower, random_decidable_tower)),
+    free_towers(),
+).map(tower_to_json)
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every value below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield path + (k,), v
+        yield from _nodes(v, path + (k,))
+
+
+def _at(obj, path):
+    for k in path:
+        obj = obj[k]
+    return obj
+
+
+def _json_kind(value) -> str:
+    return "int" if type(value) is int else type(value).__name__
+
+
+# keys whose absence the parser rejects; map_to_previous is required past the first entry
+REQUIRED = {"free_rank", "domain", "codomain", "matrix", "group", "kind", "endo", "map_to_previous"}
+
+
+@st.composite
+def broken_towers(draw):
+    """A valid tower with one wrong type, one missing or misspelt required key, or one misshapen matrix."""
+    obj = draw(VALID_TOWERS)
+    nodes = list(_nodes(obj))
+    matrices = [v for p, v in nodes if p[-1] == "matrix"]
+    kind = draw(st.sampled_from(("type", "key", "shape") if matrices else ("type", "key")))
+    if kind == "key":
+        path = draw(st.sampled_from([p for p, v in nodes if p[-1] in REQUIRED and v is not None]))
+        parent = _at(obj, path[:-1])
+        value = parent.pop(path[-1])
+        if draw(st.booleans()):
+            parent[path[-1] + "s"] = value
+    elif kind == "shape":
+        rows = draw(st.sampled_from(matrices))
+        width = len(rows[0]) if rows else 1
+        changes = [lambda: rows.append([0] * width)]
+        if rows:
+            changes.append(rows.pop)
+        if rows and rows[0]:
+            changes += [rows[0].pop, lambda: rows[-1].append(0)]
+        draw(st.sampled_from(changes))()
+    else:
+        path, value = draw(st.sampled_from(nodes))
+        others = [v for v in (1.5, 2.0, True, "1", None, [], {}, 3) if _json_kind(v) != _json_kind(value)]
+        _at(obj, path[:-1])[path[-1]] = draw(st.sampled_from(others))
+    return obj
+
+
+@TOWER_EXAMPLES
+@given(VALID_TOWERS)
+def test_valid_tower_json_exits_zero_or_one(obj):
+    code, err = _analyze(obj)
+    assert code in (0, 1), err
+
+
+@TOWER_EXAMPLES
+@given(broken_towers())
+def test_broken_tower_json_names_its_field(obj):
+    code, err = _analyze(obj)
+    assert code == 2, err
+    assert "field '" in err

@@ -212,6 +212,19 @@ class TestStabilizationPass:
                 reference.append(nxt)
             assert list(islice(_image_stages(t, _full_stage(t)), 41)) == reference
 
+    def test_full_stage_builds_one_full_subgroup_per_group(self, monkeypatch):
+        z4, z6 = fg_group(4), fg_group(6)
+        groups = (z4, z6) * 150
+        maps = tuple(zero_map(groups[i + 1], groups[i]) for i in range(len(groups) - 1))
+        t = Tower(groups, maps, ZeroTail())
+        built = []
+        full = Subgroup.full.__func__
+        monkeypatch.setattr(Subgroup, "full", classmethod(lambda cls, g: built.append(g) or full(cls, g)))
+        stage = _full_stage(t)
+        # the zero tail adds one trivial level past the prefix
+        assert built == [z4, z6, TRIVIAL_GROUP]
+        assert stage == tuple(full(Subgroup, t.group(i)) for i in range(len(groups) + 1))
+
     def test_witnessed_finite_stage_builds_only_the_stages_below_it(self, monkeypatch):
         calls = []
         counted = towers_mod.image_of_subgroup
