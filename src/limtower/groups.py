@@ -16,7 +16,6 @@ delegated to floating point or fixed-width matrix libraries.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -235,33 +234,6 @@ def _pivot(row: list[int]) -> int:
     return -1
 
 
-def _insert_row(basis: list[list[int]], pivots: list[int], vec: list[int]) -> None:
-    while True:
-        j = _pivot(vec)
-        if j < 0:
-            return
-        pos = bisect_left(pivots, j)
-        if pos < len(pivots) and pivots[pos] == j:
-            row = basis[pos]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                vec = [y - q * x for x, y in zip(row, vec)]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                new_row = [x * p + y * q2 for p, q2 in zip(row, vec)]
-                new_vec = [ag * q2 - bg * p for p, q2 in zip(row, vec)]
-                basis[pos] = new_row
-                vec = new_vec
-        else:
-            if vec[j] < 0:
-                vec = [-x for x in vec]
-            basis.insert(pos, vec)
-            pivots.insert(pos, j)
-            return
-
-
 def row_hermite_basis(rows: list[list[int]] | list[Vector], width: int) -> tuple[Vector, ...]:
     """Canonical echelon basis of the row span of `rows` inside Z^width.
 
@@ -269,12 +241,33 @@ def row_hermite_basis(rows: list[list[int]] | list[Vector], width: int) -> tuple
     pivot columns strictly increase.  Two row sets span the same lattice
     iff their canonical bases are equal.
     """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
+    rows_at: dict[int, list[int]] = {}  # pivot column -> its row
     for row in rows:
         if len(row) != width:
             raise ValueError("row width mismatch")
-        _insert_row(basis, pivots, list(row))
+        vec = list(row)
+        j = 0
+        while j < width:
+            b = vec[j]
+            if not b:
+                j += 1
+                continue
+            top = rows_at.get(j)
+            if top is None:
+                rows_at[j] = vec if b > 0 else [-x for x in vec]
+                break
+            a = top[j]
+            if b % a == 0:
+                q = b // a
+                vec = [y - q * x for x, y in zip(top, vec)]
+            else:
+                g, x, y = xgcd(a, b)
+                ag, bg = a // g, b // g
+                rows_at[j] = [x * p + y * q for p, q in zip(top, vec)]
+                vec = [ag * q - bg * p for p, q in zip(top, vec)]
+            j += 1  # vec is now zero up to column j, so the scan resumes past it
+    pivots = sorted(rows_at)
+    basis = [rows_at[p] for p in pivots]
     for k in range(len(basis)):
         p = pivots[k]
         d = basis[k][p]
@@ -335,6 +328,12 @@ class FgAbGroup:
     def orders(self) -> Vector:
         """Per-generator orders; 0 marks a free generator."""
         return self.invariant_factors + (0,) * self.free_rank
+
+    @cached_property
+    def torsion_rows(self) -> tuple[Vector, ...]:
+        """The rows o*e_i of the torsion generators: a reduced echelon basis of the relations."""
+        n = self.ngens
+        return tuple(tuple(unit_vector(n, i, o)) for i, o in enumerate(self.invariant_factors))
 
     @property
     def ngens(self) -> int:
@@ -433,18 +432,16 @@ class GroupMap:
 
     def __post_init__(self) -> None:
         dom, cod = self.domain, self.codomain
-        if len(self.matrix) != cod.ngens or any(len(r) != dom.ngens for r in self.matrix):
+        if len(self.matrix) != cod.ngens or not set(map(len, self.matrix)) <= {dom.ngens}:
             raise ValueError("matrix shape does not match domain/codomain")
-        reduced = tuple(
-            tuple(x % o if o else x for x in row)
-            for row, o in zip(self.matrix, cod.orders)
-        )
+        # torsion generators come first: only the leading rows need reducing,
+        # and only the leading columns (generators of order d) can fail the check
+        torsion = [tuple([x % o for x in row]) for row, o in zip(self.matrix, cod.invariant_factors)]
+        reduced = (*torsion, *map(tuple, self.matrix[len(torsion):]))
         object.__setattr__(self, "matrix", reduced)
-        for j, d in enumerate(dom.orders):
-            if d == 0:
-                continue
-            for i, o in enumerate(cod.orders):
-                x = d * reduced[i][j]
+        for j, d in enumerate(dom.invariant_factors):
+            for row, o in zip(reduced, cod.orders):
+                x = d * row[j]
                 if (x % o) if o else x:
                     raise ValueError(
                         f"not a homomorphism: generator of order {d} maps to an element not killed by {d}"
@@ -615,13 +612,12 @@ class Subgroup:
     def _span(self, ambient: FgAbGroup, generators: tuple[Vector, ...]) -> None:
         self.ambient = ambient
         self.generators = generators
-        n = ambient.ngens
-        torsion = [unit_vector(n, i, o) for i, o in enumerate(ambient.orders) if o]
+        torsion = ambient.torsion_rows
         if any(map(any, generators)):
-            self.basis = row_hermite_basis([*generators, *torsion], n)
+            # the torsion rows go in first: each is its own pivot row
+            self.basis = row_hermite_basis([*torsion, *generators], ambient.ngens)
         else:
-            # the torsion rows o*e_i alone are already a reduced echelon basis
-            self.basis = tuple(map(tuple, torsion))
+            self.basis = torsion
 
     @classmethod
     def full(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -665,14 +661,12 @@ class Subgroup:
     def _form(self) -> tuple[Presentation, tuple[Vector, ...]]:
         # present lattice/torsion: generators = basis rows, relations =
         # ambient torsion rows written in basis coordinates
-        n = self.ambient.ngens
         rels = []
-        for i, o in enumerate(self.ambient.orders):
-            if o:
-                coeffs = lattice_solve(self.basis, unit_vector(n, i, o))
-                if coeffs is None:  # torsion rows are folded into every lattice
-                    raise RuntimeError("ambient torsion row outside the subgroup lattice")
-                rels.append(coeffs)
+        for row in self.ambient.torsion_rows:
+            coeffs = lattice_solve(self.basis, row)
+            if coeffs is None:  # torsion rows are folded into every lattice
+                raise RuntimeError("ambient torsion row outside the subgroup lattice")
+            rels.append(coeffs)
         pres = group_from_presentation(len(self.basis), rels)
         return pres, self.basis
 
@@ -722,20 +716,20 @@ def image_of_subgroup(h: GroupMap, sub: Subgroup) -> Subgroup:
     """h(sub) as a subgroup of the codomain.
 
     Each basis row b maps to sum_j h[r][j] * b[j] in codomain row r,
-    reduced once by the codomain orders.  A trivial `sub` or a zero `h`
+    reduced once by the codomain orders if it has torsion.  A trivial `sub` or a zero `h`
     gives the zero subgroup without any products.
     """
-    if sub.ambient != h.domain:
+    if sub.ambient is not h.domain and sub.ambient != h.domain:
         raise ValueError("subgroup does not live in the domain")
     cod = h.codomain
     if sub.is_trivial() or h.is_zero():
         return Subgroup.zero(cod)
     rows = h.matrix
-    orders = cod.orders
-    gens = tuple(
-        tuple(x % o if o else x for x, o in zip([sum(map(mul, row, b)) for row in rows], orders))
-        for b in sub.basis
-    )
+    gens = [[sum(map(mul, row, b)) for row in rows] for b in sub.basis]
+    if cod.invariant_factors:  # a free codomain needs no reduction
+        orders = cod.orders
+        gens = [[x % o if o else x for x, o in zip(g, orders)] for g in gens]
+    gens = tuple(map(tuple, gens))
     return Subgroup._of_reduced(cod, gens)
 
 

@@ -41,7 +41,10 @@ def group_to_json(g: FgAbGroup) -> dict:
 
 
 def _bad(path: str, want: str, value) -> ValueError:
-    return ValueError(f"field '{path}' must be {want}, got {json.dumps(value)}")
+    got = json.dumps(value)
+    if len(got) > 60:  # a rejected value can be megabytes long
+        got = got[:60] + "..."
+    return ValueError(f"field '{path}' must be {want}, got {got}")
 
 
 def _int(value, path: str) -> int:
@@ -77,6 +80,16 @@ def _checked(path: str, build, *args):
         raise ValueError(f"field '{path}': {exc}") from None
 
 
+def _all_ints(values) -> bool:
+    """Whether values is a list of integers: the test `_ints` makes, with no path to name."""
+    if type(values) is not list:
+        return False
+    for v in values:
+        if type(v) is not int:
+            return False
+    return True
+
+
 def _ints(values, path: str) -> list[int]:
     for k, v in enumerate(_list(values, path)):
         if type(v) is not int:
@@ -87,7 +100,8 @@ def _ints(values, path: str) -> list[int]:
 def _int_rows(value, path: str) -> list[list[int]]:
     rows = _list(value, path)
     for i, row in enumerate(rows):
-        _ints(row, f"{path}[{i}]")
+        if not _all_ints(row):  # a row's path is built only to name what it rejects
+            _ints(row, f"{path}[{i}]")
     return rows
 
 
@@ -99,13 +113,17 @@ def group_from_json(obj: dict, path: str = "group", built: dict | None = None) -
     """
     built = {} if built is None else built
     obj = _object(obj, path)
-    rank = _int(_field(obj, path, "free_rank"), f"{path}.free_rank")
-    if rank < 0:
-        raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
-    key = (rank, tuple(_ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")))
-    if key not in built:
-        built[key] = _checked(f"{path}.invariant_factors", FgAbGroup, *key)
-    return built[key]
+    rank = _field(obj, path, "free_rank")
+    factors = obj.get("invariant_factors", [])
+    if not (type(rank) is int and rank >= 0 and _all_ints(factors)):
+        if _int(rank, f"{path}.free_rank") < 0:
+            raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
+        _ints(factors, f"{path}.invariant_factors")
+    key = (rank, tuple(factors))
+    group = built.get(key)
+    if group is None:
+        group = built[key] = _checked(f"{path}.invariant_factors", FgAbGroup, *key)
+    return group
 
 
 def map_to_json(h: GroupMap) -> dict:

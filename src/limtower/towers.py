@@ -90,8 +90,12 @@ class Tower:
         w = len(self.prefix_groups)
         if len(self.prefix_maps) != max(0, w - 1):
             raise ValueError("need exactly one map per adjacent prefix pair")
+        groups = self.prefix_groups
         for i, h in enumerate(self.prefix_maps):
-            if h.domain != self.prefix_groups[i + 1] or h.codomain != self.prefix_groups[i]:
+            # a parsed tower shares one object per distinct group, so `is` mostly decides
+            if (h.domain is not groups[i + 1] and h.domain != groups[i + 1]) or (
+                h.codomain is not groups[i] and h.codomain != groups[i]
+            ):
                 raise ValueError(f"prefix map {i} does not chain")
         if isinstance(self.tail, ConstantEndo) and w and self.prefix_groups[-1] != self.tail.group:
             raise ValueError("last prefix group must equal the constant tail group")
@@ -498,6 +502,7 @@ def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
     tells which levels moved.
     """
     c = s.stable_index
+    maps = [s.step_map(i) for i in range(c + 1)]
     todo = range(c + 1)
     while True:
         yield subs
@@ -506,8 +511,8 @@ def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
         for i in todo:
             if subs[i].is_trivial():
                 continue
-            img = image_of_subgroup(s.step_map(i), subs[min(i + 1, c)])
-            if img != subs[i]:
+            img = image_of_subgroup(maps[i], subs[min(i + 1, c)])
+            if img.basis != subs[i].basis:  # both lie in s.group(i)
                 nxt[i] = img
                 moved.append(i)
         if not moved:

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from limtower.cli import main
-from limtower.groups import GroupMap, fg_group, multiplication_map
+from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, multiplication_map
 from limtower.serialize import (
     SCHEMA_VERSION,
     group_from_json,
@@ -13,8 +14,16 @@ from limtower.serialize import (
     tower_from_json,
     tower_to_json,
 )
-from limtower.suites import random_finite_tower
-from limtower.towers import ConstantEndo, Tower, analyze, multiplication_tower, null_tower
+from limtower.suites import (
+    corpus_towers,
+    random_decidable_tower,
+    random_finite_group,
+    random_finite_tower,
+    random_hom,
+    random_local_tower,
+    random_surjective_tower,
+)
+from limtower.towers import DEFAULT_HORIZON, ConstantEndo, Tower, ZeroTail, analyze, multiplication_tower, null_tower
 
 
 class TestSerialize:
@@ -79,6 +88,16 @@ class TestSerialize:
 
 Z = {"free_rank": 1, "invariant_factors": []}
 Z2 = {"free_rank": 0, "invariant_factors": [2]}
+Z_2 = {"free_rank": 2, "invariant_factors": []}
+
+
+def long_prefix(group: dict, identity: list, w: int, at: int, matrix) -> dict:
+    """w levels of `group` under identity maps, except `matrix` on the map into level at - 1."""
+    return {"prefix": [
+        {"group": group, "map_to_previous": None if i == 0 else
+         {"domain": group, "codomain": group, "matrix": matrix if i == at else identity}}
+        for i in range(w)
+    ]}
 
 
 @pytest.fixture
@@ -186,6 +205,16 @@ class TestCli:
             ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
                 "domain": Z2, "codomain": {"free_rank": 0.0, "invariant_factors": [2]}, "matrix": [[1]]}}]},
              "'prefix[1].map_to_previous.codomain.free_rank'"),
+            # one bad entry or row deep in a long prefix, and factors given as an object
+            ("analyze", long_prefix(Z2, [[1]], 40, 33, [[1.0]]), "'prefix[33].map_to_previous.matrix[0][0]'"),
+            ("analyze", long_prefix(Z_2, [[1, 0], [0, 1]], 40, 37, [[1, 0], [0, True]]),
+             "'prefix[37].map_to_previous.matrix[1][1]'"),
+            ("analyze", long_prefix(Z2, [[1]], 40, 21, [5]), "'prefix[21].map_to_previous.matrix[0]'"),
+            ("analyze", {"tail": {"kind": "constant_endo", "group": Z, "endo": {"domain": Z, "codomain": Z, "matrix": [{"0": 1}]}}},
+             "'tail.endo.matrix[0]'"),
+            ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
+                "domain": {"free_rank": 0, "invariant_factors": {"0": 2}}, "codomain": Z2, "matrix": [[1]]}}]},
+             "'prefix[1].map_to_previous.domain.invariant_factors'"),
             # a map whose domain is not its neighbour still fails to chain
             ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
                 "domain": Z2, "codomain": Z, "matrix": [[0]]}}]},
@@ -197,6 +226,22 @@ class TestCli:
         path.write_text(json.dumps(body))
         assert main([command, str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (json.dumps({"prefix": [{"group": {"free_rank": [0] * 10**6}}]}), "'prefix[0].group.free_rank'"),
+            ('{"prefix": [' + "[" * 900 + "]" * 900 + "]}", "'prefix[0]'"),
+        ],
+        ids=["million-entry-list", "900-deep-list"],
+    )
+    def test_huge_rejected_value_is_quoted_short(self, tmp_path, capsys, text, field):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and err.rstrip().endswith("...")
+        assert len(err.encode()) < 300
 
     def test_snf(self, matrix_file, capsys):
         assert main(["snf", matrix_file, "--json"]) == 0
@@ -329,3 +374,59 @@ class TestCli:
         obj = json.loads(p1.read_text())
         assert obj["input"]["seed"] == 1
         assert obj["passed"] == obj["total"]
+
+
+def digest_towers():
+    """(tower, horizon): the corpus towers at horizons 1, 8 and 64, then 200 seeded towers.
+
+    The seeded ones cycle through the four `suites` generators, a long
+    finite prefix (W 30..120, groups of order at most 32, random maps, a
+    zero or a random constant tail) and a free Z^2 or Z^3 prefix (W 8..20,
+    entries in [-2, 2], an identity or random endomorphism tail).
+    """
+    for _, t in corpus_towers():
+        for horizon in (1, 8, 64):
+            yield t, horizon
+    rng = random.Random(2027)
+    makers = (random_finite_tower, random_surjective_tower, random_local_tower, random_decidable_tower)
+    for k in range(200):
+        if k % 6 < 4:
+            t = makers[k % 6](rng)
+        elif k % 6 == 4:
+            groups = [random_finite_group(rng, 32) for _ in range(rng.randint(30, 120))]
+            maps = tuple(random_hom(rng, groups[i + 1], groups[i]) for i in range(len(groups) - 1))
+            top = groups[-1]
+            t = Tower(tuple(groups), maps, rng.choice((ZeroTail(), ConstantEndo(top, random_hom(rng, top, top)))))
+        else:
+            g = FgAbGroup(rng.choice((2, 3)))
+            maps = [GroupMap(g, g, [[rng.randint(-2, 2) for _ in range(g.ngens)] for _ in range(g.ngens)])
+                    for _ in range(rng.randint(8, 20))]
+            endo = maps.pop() if rng.random() < 0.5 else identity_map(g)
+            t = Tower((g,) * (len(maps) + 1), tuple(maps), ConstantEndo(g, endo))
+        yield t, DEFAULT_HORIZON
+
+
+RECORDED_REPORT_DIGEST = "9c9d8f3b50255347ecdbb07ff567725fe05b15a8250d9389a5d1993bde66297c"
+
+
+def test_reports_match_the_recorded_digest(tmp_path, monkeypatch, capsys):
+    """Every byte of `analyze --json -` output on `digest_towers()` is as recorded.
+
+    The digest is the sha256 of the concatenated stdout of `limtower analyze
+    tower.json --json - --horizon H`, run in process from the directory that
+    holds tower.json (so the report's `input` is the relative name), over
+    `digest_towers()`. It was recorded by running this same function at
+    commit 0b42cc0, before parsing validated at entry and before the image
+    step read per-group torsion rows, and both commits give it. A change
+    to any status, group, witness, length or report byte changes it.
+    """
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for tower, horizon in digest_towers():
+        (tmp_path / "tower.json").write_text(json.dumps(tower_to_json(tower)))
+        assert main(["analyze", "tower.json", "--json", "-", "--horizon", str(horizon)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs) == 230
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == RECORDED_REPORT_DIGEST
+

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limtower.cli import main
-from limtower.groups import FgAbGroup, GroupMap
+from limtower.groups import FgAbGroup, GroupMap, multiplication_map
 from limtower.ordinals import (
     ZERO,
     DegLexIndex,
@@ -28,14 +28,24 @@ from limtower.ordinals import (
     ord_from_int,
     parse_ordinal,
 )
-from limtower.serialize import tower_to_json
+from limtower.serialize import (
+    _bad,
+    _checked,
+    _field,
+    _int,
+    _list,
+    _object,
+    group_from_json,
+    tower_from_json,
+    tower_to_json,
+)
 from limtower.suites import (
     random_decidable_tower,
     random_finite_tower,
     random_local_tower,
     random_surjective_tower,
 )
-from limtower.towers import ConstantEndo, Tower
+from limtower.towers import ConstantEndo, Tower, ZeroTail
 from limtower.walker import (
     WalkerContext,
     format_element,
@@ -287,3 +297,112 @@ def test_broken_tower_json_names_its_field(obj):
     code, err = _analyze(obj)
     assert code == 2, err
     assert "field '" in err
+
+
+# --- the same towers through the JSON boundary it replaced --------------------
+#
+# The earlier `_ints`, `_int_rows`, `group_from_json` and `map_from_json`,
+# which built every path string and checked each entry in its own call,
+# kept verbatim as the reference apart from a `ref_` prefix on the names
+# they call; `ref_tower_from_json` is `tower_from_json` calling them.  The
+# shared helpers (`_bad`, `_int`, `_list`, `_object`, `_field`, `_checked`)
+# come from `serialize`.
+
+
+def ref_ints(values, path: str) -> list[int]:
+    for k, v in enumerate(_list(values, path)):
+        if type(v) is not int:
+            raise _bad(f"{path}[{k}]", "an integer", v)
+    return values
+
+
+def ref_int_rows(value, path: str) -> list[list[int]]:
+    rows = _list(value, path)
+    for i, row in enumerate(rows):
+        ref_ints(row, f"{path}[{i}]")
+    return rows
+
+
+def ref_group_from_json(obj: dict, path: str = "group", built: dict | None = None) -> FgAbGroup:
+    built = {} if built is None else built
+    obj = _object(obj, path)
+    rank = _int(_field(obj, path, "free_rank"), f"{path}.free_rank")
+    if rank < 0:
+        raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
+    key = (rank, tuple(ref_ints(obj.get("invariant_factors", []), f"{path}.invariant_factors")))
+    if key not in built:
+        built[key] = _checked(f"{path}.invariant_factors", FgAbGroup, *key)
+    return built[key]
+
+
+def ref_map_from_json(obj: dict, path: str = "map", built: dict | None = None) -> GroupMap:
+    obj = _object(obj, path)
+    dom = ref_group_from_json(_field(obj, path, "domain"), f"{path}.domain", built)
+    cod = ref_group_from_json(_field(obj, path, "codomain"), f"{path}.codomain", built)
+    rows = ref_int_rows(_field(obj, path, "matrix"), f"{path}.matrix")
+    return _checked(f"{path}.matrix", GroupMap, dom, cod, rows)
+
+
+def ref_tower_from_json(obj: dict) -> Tower:
+    if not isinstance(obj, dict):
+        raise ValueError("tower object must be a JSON object")
+    if obj.get("kind") == "S_of_A":
+        group = ref_group_from_json(_field(obj, "", "group"))
+        m = _int(_field(obj, "", "multiplier"), "multiplier")
+        return Tower((), (), ConstantEndo(group, multiplication_map(group, m)))
+    built: dict = {}  # one group object per distinct group in this tower
+    prefix = _list(obj.get("prefix", []), "prefix")
+    groups = []
+    maps = []
+    for i, entry in enumerate(prefix):
+        path = f"prefix[{i}]"
+        entry = _object(entry, path)
+        groups.append(ref_group_from_json(_field(entry, path, "group"), f"{path}.group", built))
+        mtp = entry.get("map_to_previous")
+        if i == 0:
+            if mtp is not None:
+                raise _bad(f"{path}.map_to_previous", "null on the first entry", mtp)
+        else:
+            if mtp is None:
+                raise _bad(f"{path}.map_to_previous", "a map", mtp)
+            maps.append(ref_map_from_json(mtp, f"{path}.map_to_previous", built))
+    tail_obj = _object(obj.get("tail", {"kind": "zero"}), "tail")
+    kind = tail_obj.get("kind")
+    if kind == "zero":
+        tail: ConstantEndo | ZeroTail = ZeroTail()
+    elif kind == "constant_endo":
+        tail = _checked(
+            "tail.endo",
+            ConstantEndo,
+            ref_group_from_json(_field(tail_obj, "tail", "group"), "tail.group", built),
+            ref_map_from_json(_field(tail_obj, "tail", "endo"), "tail.endo", built),
+        )
+    else:
+        raise _bad("tail.kind", '"zero" or "constant_endo"', kind)
+    return _checked("prefix", Tower, tuple(groups), tuple(maps), tail)
+
+
+def _parsed(parse, obj):
+    """The tower `parse` makes of obj, or the type and text of what it raised."""
+    try:
+        return parse(obj)
+    except Exception as exc:  # any difference in what is raised is a failure
+        return type(exc), str(exc)
+
+
+@TOWER_EXAMPLES
+@given(st.one_of(VALID_TOWERS, broken_towers()))
+def test_tower_json_matches_the_reference_parser(obj):
+    got = _parsed(tower_from_json, obj)
+    assert got == _parsed(ref_tower_from_json, obj)
+    if isinstance(got, Tower):
+        # one object per distinct group, as before
+        levels = [*got.prefix_groups, *(m.domain for m in got.prefix_maps), *(m.codomain for m in got.prefix_maps)]
+        assert len({id(g) for g in levels}) == len(set(levels))
+
+
+@pytest.mark.parametrize("key", ["free_rank", "invariant_factors"])
+@pytest.mark.parametrize("value", [None, True, 1.5, "2", [], {}, [2.0], [[1]], {"a": 2}, -1, 0, 3, [2, 4], [4, 6]], ids=repr)
+def test_group_json_matches_the_reference_parser(value, key):
+    obj = {"free_rank": 1, "invariant_factors": [2], key: value}
+    assert _parsed(group_from_json, obj) == _parsed(ref_group_from_json, obj)

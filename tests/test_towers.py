@@ -105,6 +105,9 @@ class TestRepresentation:
         g2, g4 = fg_group(2), fg_group(4)
         with pytest.raises(ValueError):
             Tower((g2, g4), (identity_map(g2),), ZeroTail())
+        # equal groups chain whether or not they are the same object
+        t = Tower((g4, g2), (GroupMap(fg_group(2), fg_group(4), ((2,),)),), ZeroTail())
+        assert t.step_map(0).domain is not t.group(1) and t.step_map(0).codomain is not t.group(0)
 
     def test_zero_tail_stable_index(self):
         t = null_tower([fg_group(2), fg_group(4)])
