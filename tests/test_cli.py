@@ -205,6 +205,10 @@ class TestCli:
             ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
                 "domain": Z2, "codomain": {"free_rank": 0.0, "invariant_factors": [2]}, "matrix": [[1]]}}]},
              "'prefix[1].map_to_previous.codomain.free_rank'"),
+            # a map whose domain is not its neighbour still fails to chain
+            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
+                "domain": Z2, "codomain": Z, "matrix": [[0]]}}]},
+             "prefix map 0 does not chain"),
             # one bad entry or row deep in a long prefix, and factors given as an object
             ("analyze", long_prefix(Z2, [[1]], 40, 33, [[1.0]]), "'prefix[33].map_to_previous.matrix[0][0]'"),
             ("analyze", long_prefix(Z_2, [[1, 0], [0, 1]], 40, 37, [[1, 0], [0, True]]),
@@ -215,10 +219,6 @@ class TestCli:
             ("analyze", {"prefix": [{"group": Z2}, {"group": Z2, "map_to_previous": {
                 "domain": {"free_rank": 0, "invariant_factors": {"0": 2}}, "codomain": Z2, "matrix": [[1]]}}]},
              "'prefix[1].map_to_previous.domain.invariant_factors'"),
-            # a map whose domain is not its neighbour still fails to chain
-            ("analyze", {"prefix": [{"group": Z}, {"group": Z, "map_to_previous": {
-                "domain": Z2, "codomain": Z, "matrix": [[0]]}}]},
-             "prefix map 0 does not chain"),
         ],
     )
     def test_ill_typed_field_exit_two(self, tmp_path, capsys, command, body, field):
