@@ -221,6 +221,12 @@ def random_surjective_tower(rng: random.Random, max_levels: int = 4) -> Tower:
     return Tower(tuple(groups), tuple(maps), ConstantEndo(tail_group, endo))
 
 
+def behind_finite_front(rng: random.Random, tail: ConstantEndo) -> Tower:
+    """The constant tail behind one finite level, with a random map onto it."""
+    front = random_finite_group(rng, 16)
+    return Tower((front, tail.group), (random_hom(rng, tail.group, front),), tail)
+
+
 def _radical(n: int) -> int:
     r = 1
     for p in _prime_factors(n):
@@ -246,8 +252,7 @@ def random_local_tower(rng: random.Random) -> Tower:
     m = _radical(g.order()) * rng.randint(1, 2)
     tail = ConstantEndo(g, multiplication_map(g, m))
     if rng.random() < 0.5:
-        front = random_finite_group(rng, 16)
-        return Tower((front, g), (random_hom(rng, g, front),), tail)
+        return behind_finite_front(rng, tail)
     return Tower((), (), tail)
 
 
@@ -261,8 +266,32 @@ def random_decidable_tower(rng: random.Random) -> Tower:
     m = rng.choice([2, 3, 4, 5, 6, -2])
     tail = ConstantEndo(g, multiplication_map(g, m))
     if rng.random() < 0.4:
-        front = random_finite_group(rng, 16)
-        return Tower((front, g), (random_hom(rng, g, front),), tail)
+        return behind_finite_front(rng, tail)
+    return Tower((), (), tail)
+
+
+def random_general_tail_tower(rng: random.Random) -> Tower:
+    """A tail T + Z^r (T finite, r = 2..6) under a general endomorphism.
+
+    The free block has entries in [-2, 2], and every other draw zeroes one
+    of its columns, so that its eventual image can lose rank; the rows into
+    T come from `random_hom`.  Four draws in ten put one finite level in
+    front.  Unlike `random_decidable_tower`, most of these tails are not a
+    multiplication, so they reach the covolume witness's determinant.
+    """
+    torsion = random_finite_group(rng, 16)
+    r = rng.randint(2, 6)
+    g = FgAbGroup(r, torsion.invariant_factors)
+    free = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+    if rng.random() < 0.5:
+        j = rng.randrange(r)
+        for row in free:
+            row[j] = 0
+    k = len(torsion.invariant_factors)
+    rows = random_hom(rng, g, torsion).matrix + tuple((0,) * k + tuple(row) for row in free)
+    tail = ConstantEndo(g, GroupMap(g, g, rows))
+    if rng.random() < 0.4:
+        return behind_finite_front(rng, tail)
     return Tower((), (), tail)
 
 
@@ -393,17 +422,51 @@ def criterion_finite_ml(rng: random.Random, trials: int = 200) -> CheckResult:
     )
 
 
+def _shift_change(tw: Tower) -> str | None:
+    """The shift ("shift" or "double shift") that changes a status or the limit, or None."""
+    view = analyze(tw).shift_invariant_view()
+    shifted, _ = shift(tw)
+    if view != analyze(shifted).shift_invariant_view():
+        return "shift"
+    twice, _ = shift(shifted)
+    if view != analyze(twice).shift_invariant_view():
+        return "double shift"
+    return None
+
+
 def criterion_shift_invariance() -> CheckResult:
     """Shifting drops a level; every status and the limit must survive."""
     for name, tw in corpus_towers():
-        view = analyze(tw).shift_invariant_view()
-        shifted, _ = shift(tw)
-        if view != analyze(shifted).shift_invariant_view():
-            return CheckResult("shift-invariance", False, f"corpus tower {name} changed under shift")
-        twice, _ = shift(shifted)
-        if view != analyze(twice).shift_invariant_view():
-            return CheckResult("shift-invariance", False, f"corpus tower {name} changed under double shift")
+        if (change := _shift_change(tw)) is not None:
+            return CheckResult("shift-invariance", False, f"corpus tower {name} changed under {change}")
     return CheckResult("shift-invariance", True, f"{len(corpus_towers())} corpus towers invariant under shifts")
+
+
+def criterion_general_tails(rng: random.Random, trials: int = 40) -> CheckResult:
+    """General endomorphism tails survive shifts, and a witnessed one never repeats.
+
+    A NeverStabilizes tower's tail level must strictly shrink at every
+    stage, since one repeat would repeat forever.  The stages come from
+    `iterate_image`, so this part shares no code with the covolume witness.
+    """
+    witnessed = 0
+    for t in range(trials):
+        tw = random_general_tail_tower(rng)
+        if (change := _shift_change(tw)) is not None:
+            return CheckResult("general-tails", False, f"tower {t} changed under {change}")
+        if analyze(tw).ml_status.kind != "never":
+            continue
+        witnessed += 1
+        c = tw.stable_index
+        levels = [iterate_image(tw, n).sub_at(c) for n in range(10)]
+        for n in range(9):
+            if levels[n] == levels[n + 1] or not levels[n].contains_subgroup(levels[n + 1]):
+                return CheckResult("general-tails", False, f"tower {t}: witnessed tail level repeats at stage {n}")
+    return CheckResult(
+        "general-tails",
+        True,
+        f"{trials} general tails invariant under shifts; {witnessed} witnessed tail levels shrink at stages 0..8",
+    )
 
 
 def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> CheckResult:
@@ -871,6 +934,7 @@ def property_suite(seed: int = 0) -> list[CheckResult]:
         criterion_decomposition(random.Random(seed + 3), trials=60),
         criterion_locality_closure(random.Random(seed + 4), trials=60),
         criterion_walker_normal_form(random.Random(seed + 5), total_trials=3000),
+        criterion_general_tails(random.Random(seed + 6)),
     ]
 
 

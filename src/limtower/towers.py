@@ -34,7 +34,6 @@ from .groups import (
     image_of_subgroup,
     kernel,
     lattice_solve,
-    mat_mul,
     multiplication_map,
     multiplier_of,
     abs_det,
@@ -403,10 +402,10 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     constant, so |det| = 1 forces stabilization and |det| >= 2 forbids it.
 
     `m` is the tail's multiplier (`multiplier_of` of its map), or None.
-    The lattice is e-bar^k Z^r for the first power of two k >= r: every
-    k >= r gives the same V, and e-bar maps e-bar^k Z^r into itself, so
-    the coordinates of e-bar on it are integers with determinant
-    det(e-bar on V) whichever such k is used.
+    The ranks of e-bar^j Z^r fall strictly until they stop, after at most r
+    steps; at that j, span(e-bar^j Z^r) = V and e-bar^j Z^r is e-bar-invariant,
+    so e-bar has integer coordinates on its Hermite basis B, with determinant
+    det(e-bar on V).  A nonsingular e-bar stops at once, with B = Z^r.
     """
     if not isinstance(tail, ConstantEndo):
         return None
@@ -419,21 +418,19 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
             return f"free summand Z^{r} with multiplication by {m}"
         return None
     k = len(t.invariant_factors)
-    ebar = [[tail.endo.matrix[k + i][k + j] for j in range(r)] for i in range(r)]
-    power, exponent = ebar, 1
-    while exponent < r:
-        power, exponent = mat_mul(power, power, r), 2 * exponent
-    cols = [[power[i][j] for i in range(r)] for j in range(r)]
-    basis = row_hermite_basis(cols, r)
-    if not basis:
-        return None  # nilpotent free action: chain bottoms out
-    c_rows = []
-    for row in basis:
-        w = [sum(map(mul, ebar_row, row)) for ebar_row in ebar]
-        coeffs = lattice_solve(basis, w)
-        if coeffs is None:
-            raise RuntimeError("tail map does not preserve its eventual image lattice")
-        c_rows.append(coeffs)
+    ebar = [row[k:] for row in tail.endo.matrix[k:]]
+    basis = [unit_vector(r, i) for i in range(r)]
+    while True:
+        images = [[sum(map(mul, ebar_row, b)) for ebar_row in ebar] for b in basis]
+        nxt = row_hermite_basis(images, r)
+        if not nxt:
+            return None  # nilpotent free action: chain bottoms out
+        if len(nxt) == len(basis):
+            break
+        basis = nxt
+    c_rows = [lattice_solve(basis, w) for w in images]
+    if None in c_rows:
+        raise RuntimeError("tail map does not preserve its eventual image lattice")
     d = abs_det(c_rows)
     if d == 0:
         raise RuntimeError("tail map is singular on its eventual rational image")

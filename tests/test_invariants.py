@@ -56,3 +56,27 @@ def test_no_hidden_cache(path):
 def test_cache_check_sees_both_spellings():
     text = "import functools\nfrom functools import lru_cache\n@functools.cache\ndef f(): pass\n"
     assert _cache_decorators(ast.parse(text)) == [2, 3]
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names that module-level imports bind and the module never reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__ imports to re-export; every other module imports only what it uses
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def test_unused_import_check_sees_every_form():
+    text = "from __future__ import annotations\nimport os.path, re as regex\nfrom .groups import mat_mul, abs_det\nabs_det(os)\n"
+    assert _unused_imports(ast.parse(text)) == ["mat_mul", "regex"]

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import math
 import random
+import time
 import weakref
 from itertools import islice
 
@@ -12,9 +14,12 @@ from limtower.groups import (
     GroupMap,
     Subgroup,
     TRIVIAL_GROUP,
+    abs_det,
     fg_group,
     identity_map,
+    mat_mul,
     multiplication_map,
+    multiplier_of,
     zero_map,
 )
 from limtower.ordinals import OMEGA, ord_compare, ord_from_int, parse_ordinal
@@ -50,9 +55,11 @@ from limtower.towers import (
 )
 from limtower.towers import _full_stage, _image_stages
 from limtower.suites import (
+    behind_finite_front,
     random_decidable_tower,
     random_finite_group,
     random_finite_tower,
+    random_general_tail_tower,
     random_hom,
     random_local_tower,
     random_surjective_tower,
@@ -169,6 +176,43 @@ class TestFiltration:
         assert st.computed_to is not None
 
 
+def free_tail(e):
+    """The constant tail Z^r under the integer matrix e."""
+    g = FgAbGroup(len(e), ())
+    return Tower((), (), ConstantEndo(g, GroupMap(g, g, e)))
+
+
+def conjugated(rng, m):
+    """U m U^-1 for a seeded unimodular U, a product of 2r transvections by +-1."""
+    r = len(m)
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * r):
+        i, j = rng.sample(range(r), 2)
+        q = rng.choice((1, -1))
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]  # E u: add q * row j to row i
+        for row in u_inv:
+            row[j] -= q * row[i]  # u^-1 E^-1: subtract q * column i from column j
+    return mat_mul(mat_mul(u, m, r), u_inv, r)
+
+
+def triangular(rng, diagonal):
+    """An upper-triangular matrix with the given diagonal and entries in [-2, 2] above it."""
+    r = len(diagonal)
+    return [[diagonal[i] if i == j else rng.randint(-2, 2) * (j > i) for j in range(r)] for i in range(r)]
+
+
+def jordan_beside(rng, index, size):
+    """A nilpotent Jordan block of the given index beside a nonsingular size x size block."""
+    while not abs_det(block := [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]):
+        pass
+    r = index + size
+    m = [[int(j == i + 1 < index) for j in range(r)] for i in range(r)]
+    for i, row in enumerate(block):
+        m[index + i][index:] = row
+    return m
+
+
 def witnessed_tail():
     """Z^2 under an upper-triangular map with |det| = 6: witnessed, not a multiplication."""
     z2 = fg_group(0, 0)
@@ -258,33 +302,86 @@ class TestStabilizationPass:
         assert not chain[2][1].is_trivial()
         assert sum(h is f0 for h in stepped) == 1
 
-    def test_witness_d_is_charpoly_constant_term(self):
-        """d = |q(0)| where det(xI - e) = x^k q(x), q(0) != 0 (sympy oracle)."""
+    def test_witness_d_is_charpoly_constant_term(self, monkeypatch):
+        """d = |q(0)| where det(xI - e-bar) = x^k q(x), q(0) != 0 (sympy oracle).
+
+        The cases: general tails on T + Z^r, each alone and behind one finite
+        level; a nilpotent Jordan block beside a nonsingular one, which the
+        witness steps past one rank at a time; and unimodular maps.
+        """
         sympy = pytest.importorskip("sympy")
-        rng = random.Random(53)
         x = sympy.Symbol("x")
-        rank_drops = witnessed = 0
-        for k in range(150):
-            r = 2 + k % 5
-            e = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
-            if k % 2:  # singular: a zero column, so the eventual image can lose rank
-                j = rng.randrange(r)
-                for row in e:
-                    row[j] = 0
-            coeffs = sympy.Matrix(e).charpoly(x).all_coeffs()
-            d = abs(int(next((c for c in reversed(coeffs) if c), 0)))
-            if d == 0 or all(e[i][j] == (e[0][0] if i == j else 0) for i in range(r) for j in range(r)):
+        steps = []
+        hermite = towers_mod.row_hermite_basis
+        monkeypatch.setattr(towers_mod, "row_hermite_basis", lambda rows, w: steps.append(1) or hermite(rows, w))
+        rng = random.Random(53)
+        cases = []  # (towers on one tail, Hermite steps of the witness or None)
+        for _ in range(150):
+            t = random_general_tail_tower(rng)
+            front = t if t.stable_index else behind_finite_front(rng, t.tail)
+            cases.append(((Tower((), (), t.tail), front), None))
+        for k in range(30):
+            index = 2 + k % 3
+            cases.append(((free_tail(conjugated(rng, jordan_beside(rng, index, 2 + k % 2))),), index + 1))
+        for k in range(20):
+            diagonal = [rng.choice((1, -1)) for _ in range(2 + k % 5)]
+            cases.append(((free_tail(conjugated(rng, triangular(rng, diagonal))),), 1))
+        witnessed = rank_drops = stabilized = 0
+        for towers, want_steps in cases:
+            endo = towers[0].tail.endo
+            k = len(endo.domain.invariant_factors)
+            e = sympy.Matrix([row[k:] for row in endo.matrix[k:]])
+            d = abs(int(next((c for c in reversed(e.charpoly(x).all_coeffs()) if c), 0)))
+            if d == 0 or multiplier_of(endo) is not None:
                 continue  # nilpotent, or a multiplication with its own witness
-            g = FgAbGroup(r, ())
-            rep = analyze(Tower((), (), ConstantEndo(g, GroupMap(g, g, e))))
-            if d >= 2:
-                witnessed += 1
-                rank_drops += (sympy.Matrix(e) ** r).rank() < r
-                assert rep.ml_status.kind == "never"
-                assert f"grows by {d} per step" in rep.ml_status.witness
-            else:
-                assert rep.ml_status.kind == "stabilized"
-        assert witnessed >= 100 and rank_drops >= 40
+            for t in towers:
+                steps.clear()
+                rep = analyze(t)
+                assert want_steps is None or len(steps) == want_steps
+                if d >= 2:
+                    witnessed += 1
+                    rank_drops += (e ** e.rows).rank() < e.rows
+                    assert rep.ml_status.kind == "never"
+                    assert f"grows by {d} per step" in rep.ml_status.witness
+                else:
+                    stabilized += 1
+                    assert rep.ml_status.kind == "stabilized"
+        assert witnessed >= 250 and rank_drops >= 120 and stabilized >= 60
+
+    def test_witness_hermite_entries_stay_below_d(self, monkeypatch):
+        """A nonsingular e-bar takes one Hermite basis, of e-bar Z^r, with no entry above d.
+
+        Its pivots multiply to d = |det e-bar|, and every entry above a pivot
+        is reduced modulo it.  A singular Z^32 tail U T U^-1, T triangular,
+        reports d = |product of the nonzero diagonal entries of T| at once.
+        """
+        bases = []
+        hermite = towers_mod.row_hermite_basis
+        monkeypatch.setattr(
+            towers_mod, "row_hermite_basis", lambda rows, w: bases.append(hermite(rows, w)) or bases[-1]
+        )
+        rng = random.Random(59)
+        checked = 0
+        for r in (*range(2, 17), *range(2, 17), 24, 32):
+            e = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            d = abs_det(e)
+            if d < 2:
+                continue
+            bases.clear()
+            rep = analyze(free_tail(e))
+            assert f"grows by {d} per step" in rep.ml_status.witness
+            assert len(bases) == 1 and max(abs(x) for row in bases[0] for x in row) <= d
+            checked += 1
+        assert checked >= 25
+        diagonal = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(32)]
+        for i in rng.sample(range(32), 5):
+            diagonal[i] = 0
+        d = abs(math.prod(x for x in diagonal if x))
+        assert d >= 2
+        start = time.perf_counter()
+        rep = analyze(free_tail(conjugated(rng, triangular(rng, diagonal))))
+        assert time.perf_counter() - start < 1.0
+        assert rep.ml_status.witness == f"image lattice covolume grows by {d} per step on the eventual free part"
 
     def test_analyze_keeps_no_reference_to_the_tower(self):
         t = random_finite_tower(random.Random(7))
