@@ -39,6 +39,7 @@ from .towers import (
     ConstantEndo,
     DEFAULT_HORIZON,
     Decomposition,
+    Filtration,
     FiltrationStage,
     LengthValue,
     Lim1Status,
@@ -51,21 +52,16 @@ from .towers import (
     decompose,
     image_tower,
     is_epimorphic_tower,
-    is_local,
     is_null_tower,
     iterate_image,
-    length,
-    lim_lim1,
     limit_of_towers,
-    ml_check,
     multiplication_tower,
     null_extension,
     null_tower,
-    omega_completion_status,
     quotient_tower,
     shift,
+    stabilize,
     subtower,
-    transfinite_image,
     truncated_constant_tower,
     truncation_adjunction_check,
     window_difference_map,

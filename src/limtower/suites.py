@@ -37,19 +37,16 @@ from .towers import (
     decompose,
     image_tower,
     is_epimorphic_tower,
-    is_local,
     is_null_tower,
     iterate_image,
-    length,
-    lim_lim1,
     limit_of_towers,
     multiplication_tower,
     null_extension,
     null_tower,
     quotient_tower,
     shift,
+    stabilize,
     subtower,
-    transfinite_image,
     truncation_adjunction_check,
     window_difference_map,
     window_shift_map,
@@ -477,7 +474,7 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
         stages = [iterate_image(tw, n).subs for n in range(8)]
         for n in range(1, 7):
             quot, _ = quotient_tower(tw, stages[n])
-            lim_q, _ = lim_lim1(quot)
+            lim_q, _ = stabilize(quot).lim_lim1()
             if lim_q is None or not lim_q.is_trivial():
                 return CheckResult(
                     "image-quotient-vanishing", False, f"tower {t}: lim S/I^{n} nonzero"
@@ -581,10 +578,10 @@ def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResul
         dec = decompose(tw)
         if not is_epimorphic_tower(dec.epimorphic_part):
             return CheckResult("decomposition-signature", False, f"tower {t}: E not epimorphic")
-        lt = length(dec.limitless_part)
-        if lt.kind != "exact":
+        filt = stabilize(dec.limitless_part)
+        if filt.length.kind != "exact":
             return CheckResult("decomposition-signature", False, f"tower {t}: L length undecided")
-        if not transfinite_image(dec.limitless_part, lt.value).is_trivial():
+        if not filt.stage(filt.length.value).is_trivial():
             return CheckResult("decomposition-signature", False, f"tower {t}: I^len(L) nonzero")
         for i in range(tw.stable_index + 1):
             if tw.group(i).is_finite():
@@ -599,7 +596,7 @@ def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResul
     hand_l = null_tower([fg_group(2)])
     checks = [
         auto.epimorphic_part.group(0) == hand_e.group(0),
-        lim_lim1(auto.epimorphic_part)[0] == lim_lim1(hand_e)[0],
+        stabilize(auto.epimorphic_part).lim_lim1()[0] == stabilize(hand_e).lim_lim1()[0],
         auto.limitless_part.group(0) == hand_l.group(0),
         is_null_tower(auto.limitless_part) and is_null_tower(hand_l),
     ]
@@ -614,7 +611,7 @@ def criterion_locality_closure(rng: random.Random, trials: int = 100) -> CheckRe
     """Null extensions and finite products of local towers stay local."""
     for t in range(trials):
         base = random_local_tower(rng)
-        if is_local(base) is not True:
+        if stabilize(base).is_local() is not True:
             return CheckResult("locality-closure", False, f"generator produced a non-local tower at {t}")
         k = rng.randint(1, 3)
         n_groups = [random_finite_group(rng, 8) for _ in range(k)]
@@ -626,11 +623,11 @@ def criterion_locality_closure(rng: random.Random, trials: int = 100) -> CheckRe
         ]
         tail_psi = zero_map(base.group(horizon_levels + 1), n_tower.group(horizon_levels))
         ext = null_extension(base, n_tower, psis, tail_psi)
-        if is_local(ext) is not True:
+        if stabilize(ext).is_local() is not True:
             return CheckResult("locality-closure", False, f"null extension at {t} is not local")
         other = random_local_tower(rng)
         prod = limit_of_towers([base, other])
-        if is_local(prod) is not True:
+        if stabilize(prod).is_local() is not True:
             return CheckResult("locality-closure", False, f"product at {t} is not local")
     return CheckResult(
         "locality-closure", True, f"{trials} null extensions and products of local towers stayed local"
@@ -813,7 +810,7 @@ def paper_examples_suite() -> list[CheckResult]:
         dec = decompose(tw)
         if dec.epimorphic_part.group(0) != fg_group(3) or dec.limitless_part.group(0) != fg_group(4):
             return "decomposition levels wrong"
-        lim_l, _ = lim_lim1(dec.limitless_part)
+        lim_l, _ = stabilize(dec.limitless_part).lim_lim1()
         if lim_l is None or not lim_l.is_trivial():
             return "L has nontrivial limit"
         return ""

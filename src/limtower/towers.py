@@ -337,7 +337,7 @@ def quotient_tower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMo
 
 def image_tower(s: Tower) -> tuple[Tower, TowerMorphism, Tower]:
     """(I(S), inclusion, S/I(S)); the quotient is a null tower."""
-    *_, stage1 = islice(_image_stages(s, _full_stage(s)), 2)
+    stage1 = iterate_image(s, 1).subs
     img, include = subtower(s, stage1)
     quot, _ = quotient_tower(s, stage1)
     if not is_null_tower(quot):
@@ -473,20 +473,6 @@ def _omega_stage_multiplication(s: Tower, m: int) -> tuple[Subgroup, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _Stabilization:
-    status: MLStatus
-    length: LengthValue
-    stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
-    finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
-    omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
-    multiplier: int | None  # m when the tail map is multiplication by m
-
-    def __post_init__(self) -> None:
-        if self.status.kind == "stabilized" and self.stable_subs is None:
-            raise RuntimeError("a stabilized chain must carry its stable stage")
-
-
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
     """subs and its successive image steps, ending before the first repeat.
 
@@ -519,12 +505,129 @@ def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
         todo = [u - 1 for u in moved if u] + ([c] if moved[-1] == c else [])
 
 
-def _stabilize(s: Tower, horizon: int) -> _Stabilization:
-    """Decide the image chain once; `analyze` shares the result.
+@dataclass(frozen=True)
+class Filtration:
+    """The image filtration of one tower, as far as one pass decides it."""
+
+    tower: Tower
+    horizon: int
+    status: MLStatus
+    length: LengthValue
+    stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
+    finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
+    omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
+
+    def __post_init__(self) -> None:
+        if self.status.kind == "stabilized" and self.stable_subs is None:
+            raise RuntimeError("a stabilized chain must carry its stable stage")
+
+    def stage(self, beta: OrdinalCNF) -> FiltrationStage:
+        """I^beta(S); exact whenever the stage is decidable, else partial.
+
+        Finite stages are always exact.  At and past omega: exact when the
+        finite chain certified stabilization (the stage equals the stable one)
+        or when the tail is multiplication by m (closed form: the intersection
+        is the prime-to-m torsion of the window images, and finitely many more
+        image steps reach the stable stage).
+        """
+        n = beta.to_int() if beta.is_finite() else None
+        if n is None:
+            if self.status.kind == "stabilized":
+                return FiltrationStage(beta, self.stable_subs, True, beta)
+            if self.omega_chain is not None:
+                for j, subs in enumerate(self.omega_chain):
+                    if beta == ord_add(OMEGA, ord_from_int(j)):
+                        return FiltrationStage(beta, subs, True, beta)
+                # beta is past every distinct stage, hence past the length
+                return FiltrationStage(beta, self.omega_chain[-1], True, beta)
+        chain = self.finite_chain
+        if chain is None:
+            # witnessed: the verdict needed no finite stage, and the chain never
+            # repeats, so build exactly the stages up to min(beta, horizon)
+            if n is not None and n <= self.horizon:
+                return iterate_image(self.tower, n)
+            deepest = iterate_image(self.tower, self.horizon)
+            return FiltrationStage(beta, deepest.subs, False, deepest.stage)
+        if n is not None:
+            if n < len(chain):
+                return FiltrationStage(beta, chain[n], True, beta)
+            if self.status.kind == "stabilized":
+                return FiltrationStage(beta, self.stable_subs, True, beta)
+        return FiltrationStage(beta, chain[-1], False, ord_from_int(len(chain) - 1))
+
+    def lim_lim1(self) -> tuple[FgAbGroup | None, Lim1Status]:
+        """The limit group and the derived-limit vanishing status.
+
+        lim S is the stable image at the tail level: the structure maps are
+        surjective on the stable stage, and a surjective endomorphism of a
+        finitely generated group is an isomorphism, so threads are exactly the
+        stable-image elements.  Injectivity is still checked explicitly.
+
+        lim1 is Zero iff the chain stabilizes and NonZero iff it certifiably
+        never does: with countable levels, stabilization is equivalent to the
+        vanishing of the derived limit.
+        """
+        if self.status.kind == "unknown":
+            return None, Lim1Status("unknown", f"no stabilization within horizon {self.horizon}")
+        lim1 = (
+            Lim1Status("zero")
+            if self.status.kind == "stabilized"
+            else Lim1Status("nonzero", self.status.witness)
+        )
+        if self.stable_subs is None:
+            return None, lim1
+        c = self.tower.stable_index
+        stable_tail = self.stable_subs[c]
+        endo = _induced(stable_tail, stable_tail, self.tower.step_map(c))
+        if not image(endo).is_full():
+            raise RuntimeError("stable image is not epimorphic; stabilization logic is broken")
+        if not kernel(endo).is_trivial():
+            raise RuntimeError("surjective endomorphism with kernel on a f.g. group")
+        return stable_tail.as_group(), lim1
+
+    def is_local(self) -> bool | None:
+        """True iff some finite image stage vanishes: lim = lim1 = 0.
+
+        With countable levels, local is equivalent to: the chain stabilizes
+        (lim1 = 0) and the stable image is trivial (lim = 0), which together
+        force I^N = 0 at a finite stage.
+        """
+        if self.status.kind == "stabilized":
+            return all(sub.is_trivial() for sub in self.stable_subs)
+        if self.status.kind == "never":
+            return False
+        return None
+
+    def omega_completion(self) -> tuple[bool | None, int | None]:
+        """Is S -> lim_n S/I^n(S) surjective?  (completeness at the first limit stage)
+
+        Stabilized chains make the quotient system eventually constant, so the
+        completion is S/I^N and the map is the canonical surjection: complete.
+        A multiplication tail with free rank r > 0 and |m| >= 2 acquires m-adic
+        limits no level hits: incomplete, witnessed by r.  Anything else is
+        outside the decision class.
+        """
+        if self.status.kind == "stabilized":
+            return True, None
+        if self.omega_chain is not None:  # a witnessed multiplication tail
+            return False, self.tower.tail.group.free_rank
+        return None, None
+
+
+def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
+    """Decide the image chain once; every tower question reads the result.
 
     A never-stabilizes witness settles the verdict without any finite
     stage: a multiplication tail goes straight to its omega stage, and any
     other witnessed tail has length at least omega, past every horizon.
+
+    >>> from limtower.groups import fg_group
+    >>> f = stabilize(multiplication_tower(fg_group(6), 2))
+    >>> str(f.status), str(f.length)
+    ('Stabilized(1)', '1')
+    >>> lim, lim1 = f.lim_lim1()
+    >>> str(lim), str(lim1)
+    ('Z/3', 'Zero')
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -534,111 +637,18 @@ def _stabilize(s: Tower, horizon: int) -> _Stabilization:
         chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 2))
         if len(chain) <= horizon + 1:  # stage n repeated for some n <= horizon
             n = len(chain) - 1
-            return _Stabilization(
-                MLStatus("stabilized", stage=n),
-                LengthValue("exact", ord_from_int(n)),
-                chain[-1],
-                chain,
-                None,
-                m,
-            )
-        return _Stabilization(
-            MLStatus("unknown", horizon=horizon),
-            LengthValue("unknown_beyond", ord_from_int(horizon)),
-            None,
-            chain,
-            None,
-            m,
-        )
+            length = LengthValue("exact", ord_from_int(n))
+            return Filtration(s, horizon, MLStatus("stabilized", stage=n), length, chain[-1], chain, None)
+        status = MLStatus("unknown", horizon=horizon)
+        length = LengthValue("unknown_beyond", ord_from_int(horizon))
+        return Filtration(s, horizon, status, length, None, chain, None)
     status = MLStatus("never", witness=witness)
     if m is None:
-        return _Stabilization(status, LengthValue("unknown_beyond", OMEGA), None, None, None, m)
+        return Filtration(s, horizon, status, LengthValue("unknown_beyond", OMEGA), None, None, None)
     # all levels of the omega stage are finite, so the chain terminates
     omega_chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
     length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(omega_chain) - 1)))
-    return _Stabilization(status, length, omega_chain[-1], None, omega_chain, m)
-
-
-def ml_check(s: Tower, horizon: int = DEFAULT_HORIZON) -> MLStatus:
-    """Does the levelwise image chain stabilize at a finite stage?"""
-    return _stabilize(s, horizon).status
-
-
-def length(s: Tower, horizon: int = DEFAULT_HORIZON) -> LengthValue:
-    """Least stage from which the image filtration is constant."""
-    return _stabilize(s, horizon).length
-
-
-def transfinite_image(s: Tower, beta: OrdinalCNF, horizon: int = DEFAULT_HORIZON) -> FiltrationStage:
-    """I^beta(S); exact whenever the stage is decidable, else partial.
-
-    Finite stages are always exact.  At and past omega: exact when the
-    finite chain certified stabilization (the stage equals the stable one)
-    or when the tail is multiplication by m (closed form: the intersection
-    is the prime-to-m torsion of the window images, and finitely many more
-    image steps reach the stable stage).
-    """
-    st = _stabilize(s, horizon)
-    if not beta.is_finite():
-        if st.status.kind == "stabilized":
-            return FiltrationStage(beta, st.stable_subs, True, beta)
-        if st.omega_chain is not None:
-            for j, subs in enumerate(st.omega_chain):
-                if beta == ord_add(OMEGA, ord_from_int(j)):
-                    return FiltrationStage(beta, subs, True, beta)
-            # beta is past every distinct stage, hence past the length
-            return FiltrationStage(beta, st.omega_chain[-1], True, beta)
-    chain = st.finite_chain
-    if chain is None:
-        # witnessed: the verdict needed no finite stage, and the chain never
-        # repeats, so build exactly the stages up to min(beta, horizon)
-        depth = min(beta.to_int(), horizon) if beta.is_finite() else horizon
-        chain = tuple(islice(_image_stages(s, _full_stage(s)), depth + 1))
-    if beta.is_finite():
-        n = beta.to_int()
-        if n < len(chain):
-            return FiltrationStage(beta, chain[n], True, beta)
-        if st.status.kind == "stabilized":
-            return FiltrationStage(beta, st.stable_subs, True, beta)
-    deepest = ord_from_int(len(chain) - 1)
-    return FiltrationStage(beta, chain[-1], False, deepest)
-
-
-def lim_lim1(
-    s: Tower, horizon: int = DEFAULT_HORIZON
-) -> tuple[FgAbGroup | None, Lim1Status]:
-    """The limit group and the derived-limit vanishing status.
-
-    lim S is the stable image at the tail level: the structure maps are
-    surjective on the stable stage, and a surjective endomorphism of a
-    finitely generated group is an isomorphism, so threads are exactly the
-    stable-image elements.  Injectivity is still checked explicitly.
-
-    lim1 is Zero iff the chain stabilizes and NonZero iff it certifiably
-    never does: with countable levels, stabilization is equivalent to the
-    vanishing of the derived limit.
-    """
-    return _lim_lim1(s, _stabilize(s, horizon))
-
-
-def _lim_lim1(s: Tower, st: _Stabilization) -> tuple[FgAbGroup | None, Lim1Status]:
-    if st.status.kind == "unknown":
-        return None, Lim1Status("unknown", f"no stabilization within horizon {st.status.horizon}")
-    lim1 = (
-        Lim1Status("zero")
-        if st.status.kind == "stabilized"
-        else Lim1Status("nonzero", st.status.witness)
-    )
-    if st.stable_subs is None:
-        return None, lim1
-    c = s.stable_index
-    stable_tail = st.stable_subs[c]
-    endo = _induced(stable_tail, stable_tail, s.step_map(c))
-    if not image(endo).is_full():
-        raise RuntimeError("stable image is not epimorphic; stabilization logic is broken")
-    if not kernel(endo).is_trivial():
-        raise RuntimeError("surjective endomorphism with kernel on a f.g. group")
-    return stable_tail.as_group(), lim1
+    return Filtration(s, horizon, status, length, omega_chain[-1], None, omega_chain)
 
 
 @dataclass(frozen=True)
@@ -658,35 +668,17 @@ def decompose(s: Tower, horizon: int = DEFAULT_HORIZON) -> Decomposition:
     Both verifications stated by the decomposition theorem are executed:
     E's maps are surjective, and L's own stable image vanishes.
     """
-    st = _stabilize(s, horizon)
-    if st.stable_subs is None:
+    stable_subs = stabilize(s, horizon).stable_subs
+    if stable_subs is None:
         raise ValueError("decomposition needs a decidable tower (stabilized or multiplication tail)")
-    epi, include = subtower(s, st.stable_subs)
-    loc, project = quotient_tower(s, st.stable_subs)
+    epi, include = subtower(s, stable_subs)
+    loc, project = quotient_tower(s, stable_subs)
     if not is_epimorphic_tower(epi):
         raise RuntimeError("stable image tower must be epimorphic")
-    lim_l, _ = lim_lim1(loc, horizon)
+    lim_l, _ = stabilize(loc, horizon).lim_lim1()
     if lim_l is None or not lim_l.is_trivial():
         raise RuntimeError("quotient by the stable image must have trivial limit")
     return Decomposition(epi, loc, include, project)
-
-
-def is_local(s: Tower, horizon: int = DEFAULT_HORIZON) -> bool | None:
-    """True iff some finite image stage vanishes: lim = lim1 = 0.
-
-    With countable levels, local is equivalent to: the chain stabilizes
-    (lim1 = 0) and the stable image is trivial (lim = 0), which together
-    force I^N = 0 at a finite stage.
-    """
-    return _is_local(_stabilize(s, horizon))
-
-
-def _is_local(st: _Stabilization) -> bool | None:
-    if st.status.kind == "stabilized":
-        return all(sub.is_trivial() for sub in st.stable_subs)
-    if st.status.kind == "never":
-        return False
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -756,32 +748,6 @@ def limit_of_towers(family) -> Tower:
     endo = product_map(c, c)
     groups = tuple(ds.group for ds in sums)
     return Tower(groups, maps, ConstantEndo(groups[c], endo))
-
-
-# ---------------------------------------------------------------------------
-# Omega-completion
-
-
-def omega_completion_status(
-    s: Tower, horizon: int = DEFAULT_HORIZON
-) -> tuple[bool | None, int | None]:
-    """Is S -> lim_n S/I^n(S) surjective?  (completeness at the first limit stage)
-
-    Stabilized chains make the quotient system eventually constant, so the
-    completion is S/I^N and the map is the canonical surjection: complete.
-    A multiplication tail with free rank r > 0 and |m| >= 2 acquires m-adic
-    limits no level hits: incomplete, witnessed by r.  Anything else is
-    outside the decision class.
-    """
-    return _omega_completion_status(s, _stabilize(s, horizon))
-
-
-def _omega_completion_status(s: Tower, st: _Stabilization) -> tuple[bool | None, int | None]:
-    if st.status.kind == "stabilized":
-        return True, None
-    if st.status.kind == "never" and st.multiplier is not None:
-        return False, s.tail.group.free_rank
-    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -923,15 +889,15 @@ class AnalysisReport:
 
 def analyze(s: Tower, horizon: int = DEFAULT_HORIZON) -> AnalysisReport:
     """Run the whole battery once, sharing one stabilization pass."""
-    st = _stabilize(s, horizon)
-    lim, lim1 = _lim_lim1(s, st)
-    complete, witness = _omega_completion_status(s, st)
+    f = stabilize(s, horizon)
+    lim, lim1 = f.lim_lim1()
+    complete, witness = f.omega_completion()
     report = AnalysisReport(
-        ml_status=st.status,
-        length=st.length,
+        ml_status=f.status,
+        length=f.length,
         lim=lim,
         lim1_status=lim1,
-        local=_is_local(st),
+        local=f.is_local(),
         omega_complete=complete,
         omega_witness=witness,
         horizon=horizon,

@@ -33,21 +33,16 @@ from limtower.towers import (
     decompose,
     image_tower,
     is_epimorphic_tower,
-    is_local,
     is_null_tower,
     iterate_image,
-    length,
-    lim_lim1,
     limit_of_towers,
-    ml_check,
     multiplication_tower,
     null_extension,
     null_tower,
-    omega_completion_status,
     quotient_tower,
     shift,
+    stabilize,
     subtower,
-    transfinite_image,
     truncated_constant_tower,
     truncation_adjunction_check,
     window_difference_map,
@@ -147,7 +142,7 @@ class TestFiltration:
         assert iterate_image(t, 1).sub_at(0).as_group() == fg_group(4)
         assert iterate_image(t, 2).sub_at(0).as_group() == fg_group(2)
         assert iterate_image(t, 3).is_trivial()
-        assert str(length(t).value) == "3"
+        assert str(stabilize(t).length.value) == "3"
 
     def test_stage_serves_high_levels(self):
         t = mult_tower(8, 2)
@@ -163,7 +158,7 @@ class TestFiltration:
 
     def test_transfinite_stage_omega(self):
         t = multiplication_tower(fg_group(4, 0), 2)
-        st = transfinite_image(t, OMEGA)
+        st = stabilize(t).stage(OMEGA)
         assert st.exact and st.is_trivial()
 
     def test_transfinite_partial_when_unknown(self):
@@ -171,7 +166,7 @@ class TestFiltration:
         z2 = fg_group(0, 0)
         e = GroupMap(z2, z2, ((2, 1), (0, 3)))
         t = Tower((), (), ConstantEndo(z2, e))
-        st = transfinite_image(t, OMEGA)
+        st = stabilize(t).stage(OMEGA)
         assert not st.exact
         assert st.computed_to is not None
 
@@ -230,11 +225,12 @@ class TestStabilizationPass:
     def test_witnessed_transfinite_image_builds_finite_stages(self):
         t = witnessed_tail()
         horizon = 6
+        filt = stabilize(t, horizon)
         for n in range(horizon + 1):
-            st = transfinite_image(t, ord_from_int(n), horizon)
+            st = filt.stage(ord_from_int(n))
             assert st.exact
             assert st.subs == iterate_image(t, n).subs
-        st = transfinite_image(t, OMEGA, horizon)
+        st = filt.stage(OMEGA)
         assert not st.exact
         assert st.computed_to == ord_from_int(horizon)
         assert st.subs == iterate_image(t, horizon).subs
@@ -281,9 +277,25 @@ class TestStabilizationPass:
         t = witnessed_tail()
         for n, steps in ((0, 0), (3, 3), (64, 16)):
             calls.clear()
-            st = transfinite_image(t, ord_from_int(n), horizon=16)
+            st = stabilize(t, horizon=16).stage(ord_from_int(n))
             assert len(calls) == steps
             assert st.exact == (n <= 16)
+
+    def test_stage_sweep_reads_one_pass(self, monkeypatch):
+        calls = []
+        counted = towers_mod.image_of_subgroup
+        monkeypatch.setattr(
+            towers_mod, "image_of_subgroup", lambda h, sub: calls.append(1) or counted(h, sub)
+        )
+        t = truncated_constant_tower(fg_group(2), 99)
+        filt = stabilize(t, 200)
+        pass_steps = len(calls)
+        stages = [filt.stage(ord_from_int(n)) for n in range(101)]
+        # the pass steps the 100 nonzero levels once, then only the level that moved;
+        # asking for its stages makes no further step
+        assert len(calls) == pass_steps == 199
+        assert str(filt.status) == "Stabilized(100)"
+        assert all(st == iterate_image(t, n) for n, st in enumerate(stages))
 
     def test_trivial_level_gets_no_image_step(self, monkeypatch):
         stepped = []
@@ -421,12 +433,12 @@ class TestStatuses:
             (GroupMap(z, fg_group(5), ((1,),)),),
             ConstantEndo(z, multiplication_map(z, 2)),
         )
-        lt = length(t)
-        assert lt.kind == "exact"
-        assert ord_compare(lt.value, parse_ordinal("w+1")) == 0
-        st = transfinite_image(t, parse_ordinal("w"))
+        filt = stabilize(t)
+        assert filt.length.kind == "exact"
+        assert ord_compare(filt.length.value, parse_ordinal("w+1")) == 0
+        st = filt.stage(parse_ordinal("w"))
         assert st.sub_at(0).as_group() == fg_group(5)
-        assert transfinite_image(t, parse_ordinal("w+1")).is_trivial()
+        assert filt.stage(parse_ordinal("w+1")).is_trivial()
 
     def test_horizon_gives_unknown_not_wrong(self):
         t = mult_tower(2**40, 2)
@@ -440,13 +452,18 @@ class TestStatuses:
 
     def test_ml_check_matches_analyze(self):
         for t in (mult_tower(9, 3), multiplication_tower(fg_group(0), 3)):
-            assert ml_check(t).kind == analyze(t).ml_status.kind
+            assert stabilize(t).status.kind == analyze(t).ml_status.kind
 
     def test_omega_completion(self):
-        done, wit = omega_completion_status(mult_tower(8, 2))
+        done, wit = stabilize(mult_tower(8, 2)).omega_completion()
         assert done is True and wit is None
-        done, wit = omega_completion_status(multiplication_tower(fg_group(0, 0), 2))
+        done, wit = stabilize(multiplication_tower(fg_group(0, 0), 2)).omega_completion()
         assert done is False and wit == 2
+        # witnessed but not a multiplication, and undecided at the horizon: outside the class
+        assert stabilize(witnessed_tail()).omega_completion() == (None, None)
+        truncated = stabilize(truncated_constant_tower(fg_group(2), 99), horizon=8)
+        assert str(truncated.status) == "Unknown(horizon=8)"
+        assert truncated.omega_completion() == (None, None)
 
 
 class TestLimits:
@@ -454,7 +471,7 @@ class TestLimits:
         rng = random.Random(43)
         for _ in range(60):
             t = random_finite_tower(rng, max_levels=4, max_order=48)
-            lim, l1 = lim_lim1(t)
+            lim, l1 = stabilize(t).lim_lim1()
             assert l1.kind == "zero"
             assert lim == thread_limit_oracle(t)
 
@@ -465,7 +482,7 @@ class TestLimits:
         for _ in range(40):
             t = random_surjective_tower(rng)
             assert is_epimorphic_tower(t)
-            lim, _ = lim_lim1(t)
+            lim, _ = stabilize(t).lim_lim1()
             if lim.is_trivial():
                 assert all(t.group(i).is_trivial() for i in range(t.stable_index + 1))
 
@@ -489,7 +506,7 @@ class TestDecomposition:
         # stable stage is trivial, so E is the zero tower and L is everything
         assert d.epimorphic_part.group(0).is_trivial()
         assert d.limitless_part.group(0) == fg_group(4, 0)
-        lim_l, _ = lim_lim1(d.limitless_part)
+        lim_l, _ = stabilize(d.limitless_part).lim_lim1()
         assert lim_l.is_trivial()
 
     def test_undecidable_raises(self):
@@ -512,20 +529,20 @@ class TestDecomposition:
 
 class TestLocalityAndExtensions:
     def test_null_tower_is_local(self):
-        assert is_local(null_tower([fg_group(2), fg_group(4), fg_group(8)])) is True
+        assert stabilize(null_tower([fg_group(2), fg_group(4), fg_group(8)])).is_local() is True
 
     def test_locality_matches_brute_force(self):
         # local <=> some finite image stage vanishes levelwise
         rng = random.Random(59)
         for _ in range(50):
             t = random_finite_tower(rng, max_levels=3, max_order=24)
-            loc = is_local(t)
+            loc = stabilize(t).is_local()
             assert loc is not None
             brute = any(iterate_image(t, n).is_trivial() for n in range(10))
             assert loc == brute
 
     def test_never_stabilizing_is_not_local(self):
-        assert is_local(multiplication_tower(fg_group(0), 2)) is False
+        assert stabilize(multiplication_tower(fg_group(0), 2)).is_local() is False
 
     def test_null_extension_orders_and_locality(self):
         s = mult_tower(4, 2)
@@ -537,7 +554,7 @@ class TestLocalityAndExtensions:
         ext = null_extension(s, n, psis, zero_map(s.group(k + 1), n.group(k)))
         for i in range(ext.stable_index + 1):
             assert ext.group(i).order() == n.group(i).order() * s.group(i).order()
-        assert is_local(ext) is True  # both parts are local here
+        assert stabilize(ext).is_local() is True  # both parts are local here
 
     def test_null_extension_respects_maps(self):
         s = constant_tower(fg_group(2))
@@ -553,7 +570,7 @@ class TestLocalityAndExtensions:
         a = null_tower([fg_group(2)])
         b = mult_tower(9, 3)
         prod = limit_of_towers([a, b])
-        assert is_local(prod) is True
+        assert stabilize(prod).is_local() is True
         rep = analyze(prod)
         assert rep.lim.is_trivial()
 
