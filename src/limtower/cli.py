@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .groups import abs_det, mat_mul, smith_normal_form
+from .groups import smith_certificate_error, smith_normal_form
 from .ordinals import parse_ordinal
 from .serialize import (
     SCHEMA_VERSION,
@@ -160,12 +160,7 @@ def _cmd_snf(args) -> int:
     started = time.monotonic()
     mat = matrix_from_json(_load_json_file(args.matrix))
     u, d, v = smith_normal_form(mat)
-    n = len(v)
-    certified = (
-        mat_mul(mat_mul(u, mat, n), v, n) == [list(r) for r in d]
-        and abs_det(u) == 1
-        and abs_det(v) == 1
-    )
+    certified = smith_certificate_error(mat, u, d, v) is None
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     report = {
         "schema": SCHEMA_VERSION,

@@ -63,6 +63,11 @@ def mat_mul(a, b, cols: int) -> Matrix:
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
+def mat_vec(rows, vec) -> Vector:
+    """The product rows @ vec of an integer matrix and a vector."""
+    return tuple([sum(map(mul, row, vec)) for row in rows])
+
+
 def _transpose(m: Matrix, rows: int, cols: int) -> Matrix:
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
@@ -221,6 +226,25 @@ def abs_det(mat: Matrix) -> int:
         a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
         prev = p
     return abs(a[0][0]) if a else 1
+
+
+def smith_certificate_error(mat: Matrix, u: Matrix, d: Matrix, v: Matrix) -> str | None:
+    """Why (U, D, V) is not a Smith certificate of mat, or None when it is.
+
+    A certificate has U*mat*V = D with |det U| = |det V| = 1, and D
+    diagonal with nonnegative entries, each dividing the next.
+    """
+    n = len(v)
+    if mat_mul(mat_mul(u, mat, n), v, n) != [list(r) for r in d]:
+        return "product mismatch"
+    if abs_det(u) != 1 or abs_det(v) != 1:
+        return "non-unimodular transform"
+    if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        return "D is not diagonal"
+    diag = [d[i][i] for i in range(min(len(d), n))]
+    if any(x < 0 for x in diag) or any(b % a if a else b for a, b in zip(diag, diag[1:])):
+        return "divisibility chain broken"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +487,7 @@ class GroupMap:
                     )
 
     def apply(self, vec) -> Vector:
-        n = self.domain.ngens
-        return self.codomain.reduce(
-            tuple(sum(row[j] * vec[j] for j in range(n)) for row in self.matrix)
-        )
+        return self.codomain.reduce(mat_vec(self.matrix, vec))
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """self after other."""
@@ -486,6 +507,11 @@ class GroupMap:
 
     def __str__(self) -> str:
         return f"[{self.domain}] -> [{self.codomain}] via {[list(r) for r in self.matrix]}"
+
+
+def map_from_columns(domain: FgAbGroup, codomain: FgAbGroup, cols) -> GroupMap:
+    """The map sending domain generator j to cols[j]."""
+    return GroupMap(domain, codomain, _transpose(cols, len(cols), codomain.ngens))
 
 
 def identity_map(group: FgAbGroup) -> GroupMap:
@@ -544,14 +570,7 @@ class Presentation:
     lift: tuple[Vector, ...]
 
     def project(self, vec) -> Vector:
-        n = len(self.lift)
-        return self.group.reduce(
-            tuple(sum(row[j] * vec[j] for j in range(n)) for row in self.to_canonical)
-        )
-
-    def lift_element(self, vec) -> Vector:
-        k = self.group.ngens
-        return tuple(sum(self.lift[i][j] * vec[j] for j in range(k)) for i in range(len(self.lift)))
+        return self.group.reduce(mat_vec(self.to_canonical, vec))
 
 
 def group_from_presentation(num_generators: int, relations: list[list[int]] | list[Vector]) -> Presentation:
@@ -694,14 +713,8 @@ class Subgroup:
     def include(self) -> GroupMap:
         """Inclusion of the canonical form into the ambient group."""
         pres, basis = self._form
-        b = len(basis)
-        n = self.ambient.ngens
-        cols = []
-        for k in range(pres.group.ngens):
-            coeffs = pres.lift_element(unit_vector(pres.group.ngens, k))
-            vec = [sum(coeffs[r] * basis[r][i] for r in range(b)) for i in range(n)]
-            cols.append(self.ambient.reduce(vec))
-        mat = tuple(tuple(col[i] for col in cols) for i in range(n))
+        # canonical generator k lifts to sum_r lift[r][k] * basis[r]: column k of basis^T @ lift
+        mat = mat_mul(_transpose(basis, len(basis), self.ambient.ngens), pres.lift, pres.group.ngens)
         return GroupMap(pres.group, self.ambient, mat)
 
     def coords(self, vec) -> Vector:
@@ -722,9 +735,7 @@ class Subgroup:
 
 
 def image(h: GroupMap) -> Subgroup:
-    n = h.domain.ngens
-    cols = [tuple(h.matrix[i][j] for i in range(h.codomain.ngens)) for j in range(n)]
-    return Subgroup(h.codomain, cols)
+    return Subgroup(h.codomain, _transpose(h.matrix, h.codomain.ngens, h.domain.ngens))
 
 
 def image_of_subgroup(h: GroupMap, sub: Subgroup) -> Subgroup:
@@ -739,13 +750,11 @@ def image_of_subgroup(h: GroupMap, sub: Subgroup) -> Subgroup:
     cod = h.codomain
     if sub.is_trivial() or h.is_zero():
         return Subgroup.zero(cod)
-    rows = h.matrix
-    gens = [[sum(map(mul, row, b)) for row in rows] for b in sub.basis]
+    gens = [mat_vec(h.matrix, b) for b in sub.basis]
     if cod.invariant_factors:  # a free codomain needs no reduction
         orders = cod.orders
-        gens = [[x % o if o else x for x, o in zip(g, orders)] for g in gens]
-    gens = tuple(map(tuple, gens))
-    return Subgroup._of_reduced(cod, gens)
+        gens = [tuple([x % o if o else x for x, o in zip(g, orders)]) for g in gens]
+    return Subgroup._of_reduced(cod, tuple(gens))
 
 
 def kernel(h: GroupMap) -> Subgroup:
@@ -774,11 +783,7 @@ class QuotientData:
 
     def section(self, vec) -> Vector:
         """A source element mapping onto `vec` under the projection."""
-        k = self.group.ngens
-        src = self.projection.domain
-        return src.reduce(
-            tuple(sum(self.lift[i][j] * vec[j] for j in range(k)) for i in range(len(self.lift)))
-        )
+        return self.projection.domain.reduce(mat_vec(self.lift, vec))
 
 
 def quotient_by_subgroup(ambient: FgAbGroup, sub: Subgroup) -> QuotientData:
@@ -859,7 +864,5 @@ def annihilator_elements(group: FgAbGroup, d: int) -> list[Vector]:
 def enumerate_homs(domain: FgAbGroup, codomain: FgAbGroup):
     """Yield every homomorphism; needs finite candidate sets per generator."""
     candidate_sets = [annihilator_elements(codomain, d) for d in domain.orders]
-    m = codomain.ngens
     for combo in itertools.product(*candidate_sets):
-        mat = tuple(tuple(col[i] for col in combo) for i in range(m))
-        yield GroupMap(domain, codomain, mat)
+        yield map_from_columns(domain, codomain, combo)

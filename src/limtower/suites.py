@@ -16,14 +16,14 @@ from .groups import (
     FgAbGroup,
     GroupMap,
     TRIVIAL_GROUP,
-    abs_det,
     annihilator_elements,
     direct_sum,
     fg_group,
     identity_map,
     image,
-    mat_mul,
+    map_from_columns,
     multiplication_map,
+    smith_certificate_error,
     smith_normal_form,
     zero_map,
 )
@@ -47,6 +47,7 @@ from .towers import (
     shift,
     stabilize,
     subtower,
+    truncated_constant_tower,
     truncation_adjunction_check,
     window_difference_map,
     window_shift_map,
@@ -180,8 +181,7 @@ def random_finite_group(rng: random.Random, max_order: int = 64) -> FgAbGroup:
 def random_hom(rng: random.Random, dom: FgAbGroup, cod: FgAbGroup) -> GroupMap:
     """Uniformly random well-defined map (codomain finite)."""
     cols = [rng.choice(annihilator_elements(cod, d)) for d in dom.orders]
-    mat = tuple(tuple(col[i] for col in cols) for i in range(cod.ngens))
-    return GroupMap(dom, cod, mat)
+    return map_from_columns(dom, cod, cols)
 
 
 def random_finite_tower(
@@ -376,6 +376,67 @@ def corpus_towers() -> list[tuple[str, Tower]]:
     return entries
 
 
+# (suite name, corpus name, the profile fields the paper states for that tower)
+_PAPER_EXAMPLES = (
+    ("s-of-a-z8-mult-2", "mult-z8-by-2", {"I2_0": "Z/2", "length": "3", "local": True}),
+    ("s-of-a-z25-mult-5", "mult-z25-by-5", {"length": "2", "local": True}),
+    (
+        "s-of-a-z6-mult-2",
+        "mult-z6-by-2",
+        {"ml": "stabilized", "stage": 1, "lim": "Z/3", "lim1": "zero", "local": False,
+         "E0": "Z/3", "L0": "Z/2", "L_null": True},
+    ),
+    ("s-of-a-z12-mult-2", "mult-z12-by-2", {"lim": "Z/3", "E0": "Z/3", "L0": "Z/4", "lim_L": "0"}),
+    (
+        "s-of-a-z-mult-2",
+        "mult-z-by-2",
+        {"ml": "never", "lim": "0", "lim1": "nonzero", "omega_complete": False, "omega_witness": 1,
+         "length": "w", "local": False},
+    ),
+    ("s-of-a-z-plus-z4-mult-2", "mult-z-plus-z4-by-2", {"length": "w", "lim1": "nonzero", "lim": "0"}),
+    ("null-tower-2-4-8", "null-2-4-8", {"length": "1", "local": True}),
+    ("prefixed-z5-then-z-mult-2", "prefixed-z5-then-z-by-2", {"length": "w + 1", "lim": "0"}),
+    (
+        "constant-z4",
+        "constant-z4",
+        {"ml": "stabilized", "stage": 0, "lim": "Z/4", "length": "0", "local": False, "epimorphic": True},
+    ),
+    ("product-z6-with-null", "product-z6-with-null", {"lim": "Z/3", "local": False, "lim1": "zero"}),
+)
+
+
+def _profile(tw: Tower) -> dict:
+    """The fields of `analyze`, of the level-0 groups of `decompose` and of I^2 that a table row can state.
+
+    Groups are given by their canonical text, so "0" is the trivial group and
+    "None" an undetermined limit.
+    """
+    rep = analyze(tw)
+    dec = decompose(tw)
+    return {
+        "ml": rep.ml_status.kind,
+        "stage": rep.ml_status.stage,
+        "length": str(rep.length),
+        "lim": str(rep.lim),
+        "lim1": rep.lim1_status.kind,
+        "local": rep.local,
+        "omega_complete": rep.omega_complete,
+        "omega_witness": rep.omega_witness,
+        "E0": str(dec.epimorphic_part.group(0)),
+        "L0": str(dec.limitless_part.group(0)),
+        "L_null": is_null_tower(dec.limitless_part),
+        "lim_L": str(stabilize(dec.limitless_part).lim_lim1()[0]),
+        "I2_0": str(iterate_image(tw, 2).sub_at(0).as_group()),
+        "epimorphic": is_epimorphic_tower(tw),
+    }
+
+
+def _mismatch(tw: Tower, want: dict) -> str:
+    """Each field of `want` that the tower's profile does not match, or "" when all do."""
+    got = _profile(tw)
+    return "; ".join(f"expected {k} {v!r}, got {got[k]!r}" for k, v in want.items() if got[k] != v)
+
+
 # ---------------------------------------------------------------------------
 # Acceptance criteria
 
@@ -386,15 +447,8 @@ def criterion_snf_certificates(rng: random.Random, trials: int = 500) -> CheckRe
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         mat = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        u, d, v = smith_normal_form(mat)
-        if mat_mul(mat_mul(u, mat, n), v, n) != [list(r) for r in d]:
-            return CheckResult("snf-certificates", False, f"product mismatch at trial {t}")
-        if abs_det(u) != 1 or abs_det(v) != 1:
-            return CheckResult("snf-certificates", False, f"non-unimodular transform at trial {t}")
-        diag = [d[i][i] for i in range(min(m, n))]
-        for i in range(len(diag) - 1):
-            if diag[i] < 0 or (diag[i + 1] % diag[i] if diag[i] else diag[i + 1]):
-                return CheckResult("snf-certificates", False, f"divisibility chain broken at trial {t}")
+        if (problem := smith_certificate_error(mat, *smith_normal_form(mat))) is not None:
+            return CheckResult("snf-certificates", False, f"{problem} at trial {t}")
     return CheckResult("snf-certificates", True, f"{trials} random matrices certified exactly")
 
 
@@ -471,7 +525,8 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
     checked_eq = 0
     for t in range(trials):
         tw = random_finite_tower(rng, max_levels=4, max_order=32)
-        stages = [iterate_image(tw, n).subs for n in range(8)]
+        filt = stabilize(tw)  # a finite tower stabilizes well inside the horizon: every stage is exact
+        stages = [filt.stage(ord_from_int(n)).subs for n in range(8)]
         for n in range(1, 7):
             quot, _ = quotient_tower(tw, stages[n])
             lim_q, _ = stabilize(quot).lim_lim1()
@@ -508,60 +563,21 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
 
 
 def criterion_closed_forms() -> CheckResult:
-    """The multiplication-family closed forms, cross-checked on raw elements."""
-    failures = []
-
-    s25 = multiplication_tower(fg_group(25), 5)
-    r = analyze(s25)
-    if not (r.length.kind == "exact" and str(r.length.value) == "2" and r.local is True):
-        failures.append("Z/25 by 5: wrong length or locality")
+    """The multiplication-family worked examples and Z by 3, cross-checked on raw elements."""
+    rows = {corpus_name: want for _, corpus_name, want in _PAPER_EXAMPLES}
+    corpus = dict(corpus_towers())
+    families = ("mult-z25-by-5", "mult-z6-by-2", "mult-z-by-2", "mult-z-plus-z4-by-2")
+    cases = [(name, corpus[name], rows[name]) for name in families]
+    # the never-stabilizing closed form of Z by p does not depend on p
+    cases.append(("mult-z-by-3", multiplication_tower(fg_group(0), 3), rows["mult-z-by-2"]))
+    failures = [f"{name}: {problems}" for name, tw, want in cases if (problems := _mismatch(tw, want))]
+    s25, s6 = corpus["mult-z25-by-5"], corpus["mult-z6-by-2"]
     if raw_stage_sets(s25, 2)[0] != {(0,)}:
         failures.append("Z/25 by 5: raw stage 2 not zero")
-
-    s6 = multiplication_tower(fg_group(6), 2)
-    r6 = analyze(s6)
-    if not (r6.lim == fg_group(3) and r6.lim1_status.kind == "zero"):
-        failures.append("Z/6 by 2: wrong lim or lim1")
     if thread_limit_oracle(s6) != fg_group(3):
         failures.append("Z/6 by 2: thread oracle mismatch")
-    d6 = decompose(s6)
-    if not (
-        d6.epimorphic_part.group(0) == fg_group(3)
-        and is_null_tower(d6.limitless_part)
-        and d6.limitless_part.group(0) == fg_group(2)
-    ):
-        failures.append("Z/6 by 2: wrong decomposition")
-    # raw image sets at stage 1 match the computed subgroup
-    raw1 = raw_stage_sets(s6, 1)[0]
-    sub1 = set(iterate_image(s6, 1).sub_at(0).element_list())
-    if raw1 != sub1:
+    if raw_stage_sets(s6, 1)[0] != set(iterate_image(s6, 1).sub_at(0).element_list()):
         failures.append("Z/6 by 2: raw stage 1 disagrees with subgroup form")
-
-    for p in (2, 3):
-        sz = multiplication_tower(fg_group(0), p)
-        rz = analyze(sz)
-        if not (
-            rz.ml_status.kind == "never"
-            and rz.lim is not None
-            and rz.lim.is_trivial()
-            and rz.lim1_status.kind == "nonzero"
-            and rz.omega_complete is False
-            and rz.omega_witness == 1
-            and str(rz.length.value) == "w"
-        ):
-            failures.append(f"Z by {p}: wrong never-stabilizing closed form")
-
-    sz4 = multiplication_tower(fg_group(4, 0), 2)
-    rz4 = analyze(sz4)
-    if not (
-        rz4.length.kind == "exact"
-        and str(rz4.length.value) == "w"
-        and rz4.lim1_status.kind == "nonzero"
-        and rz4.lim is not None
-        and rz4.lim.is_trivial()
-    ):
-        failures.append("Z+Z/4 by 2: wrong length or statuses")
-
     if failures:
         return CheckResult("multiplication-closed-forms", False, "; ".join(failures))
     return CheckResult(
@@ -721,15 +737,9 @@ def _small_adjunction_towers() -> list[Tower]:
         null_tower([z2, z4, z2, z4]),
         null_tower([z4, t]),
         Tower((z2, z4), (GroupMap(z4, z2, ((1,),)),), ConstantEndo(z4, multiplication_map(z4, 3))),
-        truncated_tower_example(),
+        truncated_constant_tower(fg_group(4), 2),
         limit_of_towers([constant_tower(z2), null_tower([z2, z2])]),
     ]
-
-
-def truncated_tower_example() -> Tower:
-    from .towers import truncated_constant_tower
-
-    return truncated_constant_tower(fg_group(4), 2)
 
 
 def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult:
@@ -780,106 +790,10 @@ def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult
 
 def paper_examples_suite() -> list[CheckResult]:
     """The fixed worked-example corpus, one result per scenario."""
-
-    def expect_z8(rep, tw):
-        st = iterate_image(tw, 2)
-        if st.sub_at(0).as_group() != fg_group(2):
-            return "I^2 level is not Z/2"
-        if str(rep.length.value) != "3" or rep.local is not True:
-            return f"expected len 3 local, got {rep.length} local={rep.local}"
-        return ""
-
-    def expect_z25(rep, tw):
-        if str(rep.length.value) != "2" or rep.local is not True:
-            return f"expected len 2 local, got {rep.length}"
-        return ""
-
-    def expect_z6(rep, tw):
-        if rep.ml_status.kind != "stabilized" or rep.ml_status.stage != 1:
-            return f"expected Stabilized(1), got {rep.ml_status}"
-        if rep.lim != fg_group(3) or rep.local is not False:
-            return f"expected lim Z/3, got {rep.lim}"
-        dec = decompose(tw)
-        if dec.epimorphic_part.group(0) != fg_group(3) or not is_null_tower(dec.limitless_part):
-            return "decomposition mismatch"
-        return ""
-
-    def expect_z12(rep, tw):
-        if rep.lim != fg_group(3):
-            return f"expected lim Z/3, got {rep.lim}"
-        dec = decompose(tw)
-        if dec.epimorphic_part.group(0) != fg_group(3) or dec.limitless_part.group(0) != fg_group(4):
-            return "decomposition levels wrong"
-        lim_l, _ = stabilize(dec.limitless_part).lim_lim1()
-        if lim_l is None or not lim_l.is_trivial():
-            return "L has nontrivial limit"
-        return ""
-
-    def expect_z(rep, tw):
-        ok = (
-            rep.ml_status.kind == "never"
-            and rep.lim is not None
-            and rep.lim.is_trivial()
-            and rep.lim1_status.kind == "nonzero"
-            and rep.omega_complete is False
-            and rep.omega_witness == 1
-            and str(rep.length.value) == "w"
-            and rep.local is False
-        )
-        return "" if ok else "never-stabilizing profile mismatch"
-
-    def expect_z_z4(rep, tw):
-        ok = (
-            rep.length.kind == "exact"
-            and str(rep.length.value) == "w"
-            and rep.lim1_status.kind == "nonzero"
-        )
-        return "" if ok else f"expected len w nonzero lim1, got {rep.length}"
-
-    def expect_null(rep, tw):
-        ok = str(rep.length.value) == "1" and rep.local is True
-        return "" if ok else f"expected len 1 local, got {rep.length}"
-
-    def expect_prefixed(rep, tw):
-        ok = (
-            rep.length.kind == "exact"
-            and str(rep.length.value) == "w + 1"
-            and rep.lim is not None
-            and rep.lim.is_trivial()
-        )
-        return "" if ok else f"expected len w + 1, got {rep.length}"
-
-    def expect_const(rep, tw):
-        ok = (
-            rep.ml_status.kind == "stabilized"
-            and rep.ml_status.stage == 0
-            and rep.lim == fg_group(4)
-            and str(rep.length.value) == "0"
-            and rep.local is False
-            and is_epimorphic_tower(tw)
-        )
-        return "" if ok else "constant tower profile mismatch"
-
-    def expect_product(rep, tw):
-        ok = rep.lim == fg_group(3) and rep.local is False and rep.lim1_status.kind == "zero"
-        return "" if ok else f"expected lim Z/3, got {rep.lim}"
-
     corpus = dict(corpus_towers())
     out: list[CheckResult] = []
-    for name, corpus_name, expect in (
-        ("s-of-a-z8-mult-2", "mult-z8-by-2", expect_z8),
-        ("s-of-a-z25-mult-5", "mult-z25-by-5", expect_z25),
-        ("s-of-a-z6-mult-2", "mult-z6-by-2", expect_z6),
-        ("s-of-a-z12-mult-2", "mult-z12-by-2", expect_z12),
-        ("s-of-a-z-mult-2", "mult-z-by-2", expect_z),
-        ("s-of-a-z-plus-z4-mult-2", "mult-z-plus-z4-by-2", expect_z_z4),
-        ("null-tower-2-4-8", "null-2-4-8", expect_null),
-        ("prefixed-z5-then-z-mult-2", "prefixed-z5-then-z-by-2", expect_prefixed),
-        ("constant-z4", "constant-z4", expect_const),
-        ("product-z6-with-null", "product-z6-with-null", expect_product),
-    ):
-        tw = corpus[corpus_name]
-        problems = expect(analyze(tw), tw)
+    for name, corpus_name, want in _PAPER_EXAMPLES:
+        problems = _mismatch(corpus[corpus_name], want)
         out.append(CheckResult(name, not problems, problems or "as expected"))
 
     # shift invariance across the whole corpus

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from operator import mul
 
 from .groups import (
+    DirectSum,
     FgAbGroup,
     GroupMap,
     Subgroup,
@@ -34,6 +34,8 @@ from .groups import (
     image_of_subgroup,
     kernel,
     lattice_solve,
+    map_from_columns,
+    mat_vec,
     multiplication_map,
     multiplier_of,
     abs_det,
@@ -271,18 +273,13 @@ def iterate_image(s: Tower, n: int) -> FiltrationStage:
 # Sub/quotient towers from per-level subgroups
 
 
-def _induced_map(dom: FgAbGroup, cod: FgAbGroup, columns) -> GroupMap:
-    mat = tuple(tuple(col[i] for col in columns) for i in range(cod.ngens))
-    return GroupMap(dom, cod, mat)
-
-
 def _induced(dom_sub: Subgroup, cod_sub: Subgroup, h: GroupMap) -> GroupMap:
     """h restricted to dom_sub -> cod_sub, in the canonical forms of both."""
     dom = dom_sub.as_group()
     inc = dom_sub.include()
     n = dom.ngens
     cols = [cod_sub.coords(h.apply(inc.apply(unit_vector(n, j)))) for j in range(n)]
-    return _induced_map(dom, cod_sub.as_group(), cols)
+    return map_from_columns(dom, cod_sub.as_group(), cols)
 
 
 def _check_closed(s: Tower, subs: tuple[Subgroup, ...]) -> int:
@@ -324,7 +321,7 @@ def quotient_tower(s: Tower, subs: tuple[Subgroup, ...]) -> tuple[Tower, TowerMo
             quots[i].projection.apply(s.step_map(i).apply(upper.section(unit_vector(n, j))))
             for j in range(n)
         ]
-        maps.append(_induced_map(upper.group, quots[i].group, cols))
+        maps.append(map_from_columns(upper.group, quots[i].group, cols))
     endo = maps.pop()
     quot = Tower(
         tuple(q.group for q in quots),
@@ -421,7 +418,7 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     ebar = [row[k:] for row in tail.endo.matrix[k:]]
     basis = [unit_vector(r, i) for i in range(r)]
     while True:
-        images = [[sum(map(mul, ebar_row, b)) for ebar_row in ebar] for b in basis]
+        images = [mat_vec(ebar, b) for b in basis]
         nxt = row_hermite_basis(images, r)
         if not nxt:
             return None  # nilpotent free action: chain bottoms out
@@ -685,11 +682,13 @@ def decompose(s: Tower, horizon: int = DEFAULT_HORIZON) -> Decomposition:
 # Null extensions, products
 
 
-def _add_maps(f: GroupMap, g: GroupMap) -> GroupMap:
-    if f.domain != g.domain or f.codomain != g.codomain:
-        raise ValueError("map sum type mismatch")
-    mat = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(f.matrix, g.matrix))
-    return GroupMap(f.domain, f.codomain, mat)
+def _block_map(src: DirectSum, dst: DirectSum, blocks) -> GroupMap:
+    """The map src -> dst whose block from summand j to summand k is f, for each (k, j, f)."""
+    mat = zero_map(src.group, dst.group).matrix
+    for k, j, f in blocks:
+        part = dst.injections[k].compose(f).compose(src.projections[j])
+        mat = [[x + y for x, y in zip(row, prow)] for row, prow in zip(mat, part.matrix)]
+    return GroupMap(src.group, dst.group, mat)
 
 
 def null_extension(
@@ -717,11 +716,7 @@ def null_extension(
     sums = [direct_sum([n_tower.group(i), s.group(i)]) for i in range(k + 1)]
 
     def twisted(i: int, upper_idx: int) -> GroupMap:
-        inj_n, inj_s = sums[i].injections
-        proj_s = sums[upper_idx].projections[1]
-        part_n = inj_n.compose(psi(i)).compose(proj_s)
-        part_s = inj_s.compose(s.step_map(i)).compose(proj_s)
-        return _add_maps(part_n, part_s)
+        return _block_map(sums[upper_idx], sums[i], [(0, 1, psi(i)), (1, 1, s.step_map(i))])
 
     maps = tuple(twisted(i, i + 1) for i in range(k))
     endo = twisted(k, k)
@@ -738,11 +733,7 @@ def limit_of_towers(family) -> Tower:
     sums = [direct_sum([t.group(i) for t in family]) for i in range(c + 1)]
 
     def product_map(i: int, upper_idx: int) -> GroupMap:
-        total = zero_map(sums[upper_idx].group, sums[i].group)
-        for k, t in enumerate(family):
-            part = sums[i].injections[k].compose(t.step_map(i)).compose(sums[upper_idx].projections[k])
-            total = _add_maps(total, part)
-        return total
+        return _block_map(sums[upper_idx], sums[i], [(k, k, t.step_map(i)) for k, t in enumerate(family)])
 
     maps = tuple(product_map(i, i + 1) for i in range(c))
     endo = product_map(c, c)
@@ -837,11 +828,7 @@ def window_shift_map(s: Tower, w: int) -> GroupMap:
     if w < 1:
         raise ValueError("window must have at least one level")
     ds = direct_sum([s.group(i) for i in range(w)])
-    total = zero_map(ds.group, ds.group)
-    for j in range(w - 1):
-        part = ds.injections[j].compose(s.step_map(j)).compose(ds.projections[j + 1])
-        total = _add_maps(total, part)
-    return total
+    return _block_map(ds, ds, [(j, j + 1, s.step_map(j)) for j in range(w - 1)])
 
 
 def window_difference_map(s: Tower, w: int) -> GroupMap:

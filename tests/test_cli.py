@@ -430,3 +430,21 @@ def test_reports_match_the_recorded_digest(tmp_path, monkeypatch, capsys):
     digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
     assert digest == RECORDED_REPORT_DIGEST
 
+
+@pytest.mark.parametrize(
+    "args, recorded",
+    [
+        (["paper-examples"], "a07e681f7b0eaa820d3416acad03d97993401187575ea7ac748e497775943075"),
+        (["property-suite", "--seed", "7"], "56e0bf805a1cf2b30f5b917469eb1af42ebfed87bb0fb1ae2e9ce2d10fc35654"),
+    ],
+    ids=["paper-examples", "property-suite-seed-7"],
+)
+def test_suite_output_matches_the_recorded_digest(args, recorded, capsys):
+    """The sha256 of the stdout of `limtower suite NAME --json -` is as recorded.
+
+    Both digests were recorded at commit 7d7a6fe, before the worked examples
+    and the closed forms read one table, so every line a suite prints,
+    failure-free, must come out byte for byte the same.
+    """
+    assert main(["suite", *args, "--json", "-"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded

@@ -22,6 +22,7 @@ from limtower.groups import (
     multiplication_map,
     quotient_by_subgroup,
     row_hermite_basis,
+    smith_certificate_error,
     smith_normal_form,
     zero_map,
 )
@@ -52,6 +53,26 @@ class TestSmith:
                     assert b % a == 0
                 else:
                     assert b == 0
+
+    @pytest.mark.parametrize(
+        "mat, u, d, problem",
+        [
+            ([[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], "D is not diagonal"),
+            ([[2, 0], [0, 3]], [[1, 0], [0, 1]], [[2, 0], [0, 3]], "divisibility chain broken"),
+            ([[1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 0], [0, -2]], "divisibility chain broken"),
+            ([[1, 0], [0, 2]], [[2, 0], [0, 1]], [[2, 0], [0, 2]], "non-unimodular transform"),
+            ([[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], "product mismatch"),
+        ],
+    )
+    def test_certificate_check_rejects_tampering(self, mat, u, d, problem):
+        assert smith_certificate_error(mat, u, d, [[1, 0], [0, 1]]) == problem
+
+    def test_certificate_check_accepts_every_smith_output(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            assert smith_certificate_error(mat, *smith_normal_form(mat)) is None
 
     def test_known_diagonal(self):
         # classic: elementary divisors of [[2,4,4],[-6,6,12],[10,4,16]] are 2,2,156

@@ -80,3 +80,38 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_every_form():
     text = "from __future__ import annotations\nimport os.path, re as regex\nfrom .groups import mat_mul, abs_det\nabs_det(os)\n"
     assert _unused_imports(ast.parse(text)) == ["mat_mul", "regex"]
+
+
+def _unread_private_definitions(tree) -> list[str]:
+    """Module-level private functions and classes that the module never reads outside their own body.
+
+    Dunder names such as a module `__getattr__` are read by the interpreter, not by name.
+    """
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.endswith("__"):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside for n in ast.walk(tree)):
+            unread.append(node.name)
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_definitions(path):
+    unread = _unread_private_definitions(ast.parse(path.read_text(), filename=str(path)))
+    assert unread == [], f"{path.name} defines {unread} and never reads them"
+
+
+def test_dead_code_check_sees_every_form():
+    text = (
+        "def _used(): pass\n"
+        "def _dead(n): return _dead(n - 1)\n"
+        "class _Gone: pass\n"
+        "class _Kept: pass\n"
+        "def public(): return _used(), _Kept\n"
+        "def __getattr__(name): pass\n"
+    )
+    assert _unread_private_definitions(ast.parse(text)) == ["_dead", "_Gone"]
