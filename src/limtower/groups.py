@@ -63,6 +63,11 @@ def mat_mul(a, b, cols: int) -> Matrix:
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
+def mat_add(a, b, k: int = 1) -> Matrix:
+    """The element-wise sum a + k*b of integer matrices of one shape."""
+    return [[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_vec(rows, vec) -> Vector:
     """The product rows @ vec of an integer matrix and a vector."""
     return tuple([sum(map(mul, row, vec)) for row in rows])

@@ -43,10 +43,9 @@ class OrdinalCNF:
         object.__setattr__(self, "_hash", hash(key))
 
     @classmethod
-    def _of_valid(cls, terms: tuple[tuple["OrdinalCNF", int], ...]) -> "OrdinalCNF":
-        """The ordinal of terms already in Cantor normal form; nothing is checked."""
+    def _of_valid(cls, terms: tuple[tuple["OrdinalCNF", int], ...], key: tuple) -> "OrdinalCNF":
+        """The ordinal of terms already in Cantor normal form, with their key; nothing is checked."""
         out = cls.__new__(cls)
-        key = tuple((e.key, c) for e, c in terms)
         vars(out).update(terms=terms, key=key, _hash=hash(key))
         return out
 
@@ -85,13 +84,12 @@ class OrdinalCNF:
             return "0"
         parts = []
         for e, c in self.terms:
-            if e.is_zero():
+            k = e.key  # () for 0, (((), n),) for a finite n >= 1
+            if not k:
                 parts.append(str(c))
                 continue
-            if e == ONE:
-                base = "w"
-            elif e.is_finite():
-                base = f"w^{e.to_int()}"
+            if len(k) == 1 and not k[0][0]:
+                base = "w" if k[0][1] == 1 else f"w^{k[0][1]}"
             else:
                 base = f"w^({e})"
             parts.append(base if c == 1 else f"{base}*{c}")
@@ -152,6 +150,7 @@ def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
     ord_add does, so 1 + w = w.
     """
     terms: list[tuple[OrdinalCNF, int]] = []  # exponents strictly decreasing
+    keys: list[tuple[tuple, int]] = []  # (exponent key, coefficient) of each term
     n = len(tokens)
     while True:
         if pos == n:
@@ -175,13 +174,16 @@ def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
             raise ValueError(f"expected term, found {tok!r}")
         if c:
             key = e.key
-            while terms and terms[-1][0].key < key:
+            while keys and keys[-1][0] < key:
+                keys.pop()
                 terms.pop()
-            if terms and terms[-1][0].key == key:
-                c += terms.pop()[1]
+            if keys and keys[-1][0] == key:
+                c += keys.pop()[1]
+                terms.pop()
             terms.append((e, c))
+            keys.append((key, c))
         if pos == n or tokens[pos] != "+":
-            return (OrdinalCNF._of_valid(tuple(terms)) if terms else ZERO), pos
+            return (OrdinalCNF._of_valid(tuple(terms), tuple(keys)) if terms else ZERO), pos
         pos += 1
 
 
@@ -201,7 +203,8 @@ def _atom(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
             raise ValueError("unbalanced parenthesis in ordinal")
         return inner, pos + 1
     if tok.isdigit():
-        return ord_from_int(int(tok)), pos + 1
+        n = int(tok)
+        return (OrdinalCNF._of_valid(((ZERO, n),), (((), n),)) if n else ZERO), pos + 1
     if tok == "w":
         return OMEGA, pos + 1
     raise ValueError(f"expected exponent, found {tok!r}")
@@ -237,12 +240,14 @@ class DegLexIndex:
     """Nonempty strictly increasing ordinal sequence, deg-lex ordered.
 
     `key` is (length, entry keys), whose tuple order is exactly deg-lex;
-    its hash is computed once, when the index is built.
+    its hash is computed once, when the index is built, and its tail the
+    first time it is asked for.
     """
 
     entries: tuple[OrdinalCNF, ...]
     key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
+    _tail = None  # not a field: tail() stores the tail here when it first builds it
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -280,10 +285,12 @@ class DegLexIndex:
 
     def tail(self) -> "DegLexIndex":
         """Drop the first entry; only valid for length >= 2."""
-        if len(self.entries) < 2:
-            raise ValueError("tail of a length-1 index")
-        n, keys = self.key
-        return DegLexIndex._of_valid(self.entries[1:], (n - 1, keys[1:]))
+        if self._tail is None:
+            if len(self.entries) < 2:
+                raise ValueError("tail of a length-1 index")
+            n, keys = self.key
+            vars(self)["_tail"] = DegLexIndex._of_valid(self.entries[1:], (n - 1, keys[1:]))
+        return self._tail
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

@@ -22,6 +22,7 @@ from .groups import (
     identity_map,
     image,
     map_from_columns,
+    mat_add,
     multiplication_map,
     smith_certificate_error,
     smith_normal_form,
@@ -767,14 +768,7 @@ def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult
             power = identity_map(d.domain)
             for _ in range(1, w):
                 power = power.compose(f_op)
-                inv = GroupMap(
-                    d.domain,
-                    d.domain,
-                    tuple(
-                        tuple(x + y for x, y in zip(r1, r2))
-                        for r1, r2 in zip(inv.matrix, power.matrix)
-                    ),
-                )
+                inv = GroupMap(d.domain, d.domain, mat_add(inv.matrix, power.matrix))
             ident = identity_map(d.domain).matrix
             if d.compose(inv).matrix != ident or inv.compose(d).matrix != ident:
                 return CheckResult("adjunction-and-window", False, f"window inverse fails at W={w}")

@@ -35,6 +35,7 @@ from .groups import (
     kernel,
     lattice_solve,
     map_from_columns,
+    mat_add,
     mat_vec,
     multiplication_map,
     multiplier_of,
@@ -687,7 +688,7 @@ def _block_map(src: DirectSum, dst: DirectSum, blocks) -> GroupMap:
     mat = zero_map(src.group, dst.group).matrix
     for k, j, f in blocks:
         part = dst.injections[k].compose(f).compose(src.projections[j])
-        mat = [[x + y for x, y in zip(row, prow)] for row, prow in zip(mat, part.matrix)]
+        mat = mat_add(mat, part.matrix)
     return GroupMap(src.group, dst.group, mat)
 
 
@@ -841,10 +842,7 @@ def window_difference_map(s: Tower, w: int) -> GroupMap:
         if not s.group(i).is_finite():
             raise ValueError("window difference map needs finite levels")
     f_op = window_shift_map(s, w)
-    one = identity_map(f_op.domain)
-    mat = tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(one.matrix, f_op.matrix)
-    )
+    mat = mat_add(identity_map(f_op.domain).matrix, f_op.matrix, -1)
     return GroupMap(f_op.domain, f_op.codomain, mat)
 
 

@@ -59,9 +59,9 @@ class WalkerContext:
     def index(self, entries) -> DegLexIndex:
         idx = entries if isinstance(entries, DegLexIndex) else DegLexIndex(tuple(entries))
         alpha = self.alpha.key
-        for e in idx.entries:
-            if e.key >= alpha:
-                raise ValueError(f"index entry {e} is not below alpha = {self.alpha}")
+        if idx.entries[-1].key >= alpha:  # entries increase, so the last one is the largest
+            first = next(e for e in idx.entries if e.key >= alpha)
+            raise ValueError(f"index entry {first} is not below alpha = {self.alpha}")
         return idx
 
     def zero(self) -> "WalkerElement":
@@ -84,7 +84,7 @@ class WalkerContext:
 
 def _sorted_support(acc: dict[DegLexIndex, int]):
     keys = sorted((k for k, v in acc.items() if v), key=attrgetter("key"), reverse=True)
-    return tuple((k, acc[k]) for k in keys)
+    return tuple([(k, acc[k]) for k in keys])
 
 
 def _from_dict(ctx: WalkerContext, acc: dict[DegLexIndex, int]) -> "WalkerElement":
@@ -125,20 +125,25 @@ class WalkerElement:
 
 
 def normalize(x: WalkerElement) -> WalkerElement:
-    """The unique digit form of x's class.
+    """The unique digit form of x's class."""
+    return x if x.normalized else _carry(x.context, x.support)
+
+
+def _carry(ctx: WalkerContext, pairs) -> WalkerElement:
+    """The digit form of the sum of (index, coefficient) pairs; an index may repeat.
 
     Splits each coefficient as digit + p * carry and pushes the carry to
     the tail position (or drops it for length-1 positions, where p
     annihilates the basis element).  A carry from length n lands on length
     n - 1, so taking the lengths longest first finalizes every position
-    exactly once.
+    exactly once.  Every stored digit is c mod p != 0, so the result is
+    marked normalized without another look at its coefficients.
     """
-    if x.normalized:
-        return x
-    p = x.context.p
+    p = ctx.p
     by_length: dict[int, dict[DegLexIndex, int]] = {}
-    for idx, c in x.support:
-        by_length.setdefault(len(idx), {})[idx] = c
+    for idx, c in pairs:
+        bucket = by_length.setdefault(idx.key[0], {})
+        bucket[idx] = bucket.get(idx, 0) + c
     out: dict[DegLexIndex, int] = {}
     for n in range(max(by_length, default=0), 0, -1):
         tails = by_length.setdefault(n - 1, {})
@@ -149,7 +154,7 @@ def normalize(x: WalkerElement) -> WalkerElement:
             if carry and n >= 2:
                 t = idx.tail()
                 tails[t] = tails.get(t, 0) + carry
-    return _from_dict(x.context, out)
+    return WalkerElement(ctx, _sorted_support(out), True)
 
 
 def _same_context(x: WalkerElement, y: WalkerElement) -> WalkerContext:
@@ -159,16 +164,11 @@ def _same_context(x: WalkerElement, y: WalkerElement) -> WalkerContext:
 
 
 def add(x: WalkerElement, y: WalkerElement) -> WalkerElement:
-    ctx = _same_context(x, y)
-    acc = {k: v for k, v in x.support}
-    for k, v in y.support:
-        acc[k] = acc.get(k, 0) + v
-    return normalize(_from_dict(ctx, acc))
+    return _carry(_same_context(x, y), x.support + y.support)
 
 
 def scalar_mul(c: int, x: WalkerElement) -> WalkerElement:
-    acc = {k: c * v for k, v in x.support}
-    return normalize(_from_dict(x.context, acc))
+    return _carry(x.context, [(k, c * v) for k, v in x.support])
 
 
 def neg(x: WalkerElement) -> WalkerElement:
@@ -180,7 +180,8 @@ def sub(x: WalkerElement, y: WalkerElement) -> WalkerElement:
 
 
 def mul_by_p(x: WalkerElement) -> WalkerElement:
-    return scalar_mul(x.context.p, x)
+    # p * e_sigma is e_tail(sigma) for length >= 2 and 0 for length 1
+    return _carry(x.context, [(k.tail(), v) for k, v in x.support if k.key[0] >= 2])
 
 
 def in_relations(x: WalkerElement) -> bool:
@@ -309,7 +310,8 @@ def format_element(x: WalkerElement) -> str:
     return " ".join(parts)
 
 
-_SPLIT_CHARS = re.compile(r"[\[\]+-]")
+# A bracket body that holds no bracket is one match, so its + signs are not visited.
+_SPLIT_CHARS = re.compile(r"\[[^\[\]]*\]|[\[\]+-]")
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
@@ -321,6 +323,8 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
     seen_op = False  # one leading sign is fine, `a ++ b` is not
     for m in _SPLIT_CHARS.finditer(text):
         ch = m.group()
+        if len(ch) > 1:
+            continue  # a whole bracket body leaves the depth as it was
         if ch == "[":
             depth += 1
         elif ch == "]":

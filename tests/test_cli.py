@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from limtower.cli import main
 from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, multiplication_map
+from limtower.ordinals import parse_ordinal
 from limtower.serialize import (
     SCHEMA_VERSION,
     group_from_json,
@@ -24,6 +27,9 @@ from limtower.suites import (
     random_surjective_tower,
 )
 from limtower.towers import DEFAULT_HORIZON, ConstantEndo, Tower, ZeroTail, analyze, multiplication_tower, null_tower
+from limtower.walker import WalkerContext, format_element, height, mul_p_height_step, normalize, parse_element
+
+from test_parsing import valid_element_text
 
 
 class TestSerialize:
@@ -448,3 +454,60 @@ def test_suite_output_matches_the_recorded_digest(args, recorded, capsys):
     """
     assert main(["suite", *args, "--json", "-"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+def _walker_line(ctx: WalkerContext, text: str) -> str:
+    """The normal form, its height and the height-step fields of one element text, or its error."""
+    try:
+        nx = normalize(parse_element(ctx, text))
+        fields = [format_element(nx), str(height(nx))]
+        if not nx.is_zero():
+            step = mul_p_height_step(nx)
+            fields += [str(step.before), str(step.after), str(step.became_zero), str(step.ok)]
+    except ValueError as exc:
+        fields = ["error", str(exc)]
+    return "\t".join(fields) + "\n"
+
+
+README_WALKER_COMMANDS = (
+    ["walker", "normalize", "3*e[0, 1] + e[w]", "--p", "2", "--alpha", "w*2+3"],
+    ["walker", "height", "2*e[0, w]", "--p", "2", "--alpha", "w*2"],
+    ["walker", "ulm-probe", "0", "5", "w", "w+1", "--p", "3", "--alpha", "w*2+3"],
+)
+RECORDED_WALKER_DIGEST = "5af1373446e5fe14795fadfc54d4235e04a17ca43718359c5f064ab91eecff44"
+
+
+def test_walker_output_matches_the_recorded_digest(monkeypatch, capsys):
+    """Every normal form, height and height step the walker prints is as recorded.
+
+    The digest is the sha256 of one `_walker_line` per input over the 360
+    seed-9 `walker-normalize` benchmark texts and the seeded
+    `valid_element_text` texts, at alpha = w^(w^2), up to the 500th that
+    parses (p cycling through 2, 3 and 5 over the parsed ones; a rejected
+    text is recorded by its message), followed by the stdout of the
+    README's `limtower walker` examples, text and `--json -`. It was recorded
+    at commit b960e23, before the walker carried ordinal keys from the
+    parser to the printer, and both commits give it.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    lines = [
+        _walker_line(inp.context, inp.key[1])
+        for inp in itertools.islice(workloads.WORKLOADS["walker-normalize"].inputs("walker-normalize", 9), 360)
+    ]
+    rng = random.Random(131)
+    contexts = [WalkerContext(p, parse_ordinal("w^(w^2)")) for p in (2, 3, 5)]
+    accepted = nested = 0
+    while accepted < 500:
+        text = valid_element_text(rng)
+        lines.append(_walker_line(contexts[accepted % 3], text))
+        if not lines[-1].startswith("error\t"):
+            accepted += 1
+            nested += "^(" in format_element(normalize(parse_element(contexts[0], text)))
+    assert nested > 100
+    for argv in README_WALKER_COMMANDS:
+        for extra in ([], ["--json", "-"]):
+            assert main([*argv, *extra]) == 0
+            lines.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == RECORDED_WALKER_DIGEST

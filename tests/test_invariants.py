@@ -115,3 +115,34 @@ def test_dead_code_check_sees_every_form():
         "def __getattr__(name): pass\n"
     )
     assert _unread_private_definitions(ast.parse(text)) == ["_dead", "_Gone"]
+
+
+def _trusted_uses(tree) -> list[int]:
+    """Lines that reach a `_of_valid` constructor: a call, an alias or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_of_valid":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "_of_valid":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "_of_valid" for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "ordinals.py"], ids=lambda p: p.name)
+def test_trusted_constructors_stay_in_ordinals(path):
+    # `_of_valid` skips every check, so only the module whose invariants it relies on may call it
+    lines = _trusted_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert lines == [], f"{path.name} reaches a trusted `_of_valid` constructor at lines {lines}"
+
+
+def test_trusted_constructor_check_sees_every_form():
+    text = (
+        "from .ordinals import OrdinalCNF, _of_valid\n"
+        "OrdinalCNF._of_valid(terms, key)\n"
+        "_of_valid(terms)\n"
+        "make = DegLexIndex._of_valid\n"
+        "DegLexIndex(entries).tail()\n"
+    )
+    assert _trusted_uses(ast.parse(text)) == [1, 2, 3, 4]

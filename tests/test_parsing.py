@@ -1,13 +1,16 @@
 """The text parsers against the token-by-token parser they replaced.
 
 The reference below is the earlier `ordinals` tokenizer and recursive
-descent parser and the earlier character-by-character `walker` term
-splitter, kept verbatim as an oracle.  On seeded fuzzed texts the current
-parsers must agree with it on acceptance, on the value and on the exact
-error message.  Two differences are intended: ASCII digits are the only
-digits (the reference's `\\d` and `int()` also took other scripts' digits,
-and `int()` took `1_0`), and a coefficient that is not a digit run names
-its term instead of repeating `int()`'s message.
+descent parser, the earlier character-by-character `walker` term
+splitter and the earlier `OrdinalCNF.__str__`, which tested exponents
+with `==`, `is_finite()` and `to_int()`, kept verbatim as an oracle.  On
+seeded fuzzed texts the current parsers must agree with it on acceptance,
+on the value and on the exact error message, and the current printer,
+which reads exponent keys, must print every ordinal the same.  Two
+differences are intended: ASCII digits are the only digits (the
+reference's `\\d` and `int()` also took other scripts' digits, and
+`int()` took `1_0`), and a coefficient that is not a digit run names its
+term instead of repeating `int()`'s message.
 """
 
 import itertools
@@ -117,6 +120,24 @@ def reference_parse_ordinal(text: str) -> OrdinalCNF:
     if p.peek() is not None:
         raise ValueError(f"trailing tokens in ordinal: {p.tokens[p.pos:]}")
     return out
+
+
+def reference_ordinal_str(self: OrdinalCNF) -> str:
+    if not self.terms:
+        return "0"
+    parts = []
+    for e, c in self.terms:
+        if e.is_zero():
+            parts.append(str(c))
+            continue
+        if e == ONE:
+            base = "w"
+        elif e.is_finite():
+            base = f"w^{e.to_int()}"
+        else:
+            base = f"w^({reference_ordinal_str(e)})"
+        parts.append(base if c == 1 else f"{base}*{c}")
+    return " + ".join(parts)
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
@@ -361,6 +382,33 @@ class TestAgainstReference:
             )
             count += 1
         assert count == 360
+
+
+class TestPrinterAgainstReference:
+    def test_random_ordinals(self):
+        rng = random.Random(107)
+        nested = 0
+        for k in range(2_000):
+            o = random_ordinal(rng, max_exponent=k % 6, max_coeff=rng.choice((1, 3, 12, 10**6)))
+            if k % 2:  # an exponent that is itself transfinite
+                o = ord_add(omega_power(o, rng.randint(1, 4)), random_ordinal(rng, max_exponent=2))
+                nested += not o.terms[0][0].is_finite()
+            assert str(o) == reference_ordinal_str(o)
+            assert parse_ordinal(str(o)) == o
+        assert nested > 500
+
+    def test_fuzz_texts(self):
+        rng = random.Random(109)
+        printed = 0
+        for _ in range(20_000):
+            try:
+                o = parse_ordinal(fuzz_ordinal_text(rng))
+            except ValueError:
+                continue
+            for x in (o, *(e for e, _ in o.terms)):
+                assert str(x) == reference_ordinal_str(x)
+                printed += 1
+        assert printed > 10_000
 
 
 class TestEntryMemo:

@@ -135,12 +135,22 @@ def test_tail_matches_public_constructor(idx):
     assert hash(tail) == hash(checked) == hash(checked.key)
 
 
+def _rebuilt(x: OrdinalCNF) -> OrdinalCNF:
+    """x rebuilt through the validating constructor at every level of its exponents."""
+    return OrdinalCNF(tuple((_rebuilt(e), c) for e, c in x.terms))
+
+
 @FIXED
 @given(ORDINALS)
 def test_parsed_ordinal_matches_public_constructor(x):
+    # the parser builds every expression and finite exponent through `_of_valid`
     parsed = parse_ordinal(str(x))
-    assert parsed.key == x.key
-    assert hash(parsed) == hash(x) == hash(OrdinalCNF(parsed.terms)) == hash(x.key)
+    for got, want in [(parsed, x), *zip((e for e, _ in parsed.terms), (e for e, _ in x.terms))]:
+        checked = _rebuilt(got)
+        assert got.key == want.key == checked.key
+        assert hash(got) == hash(want) == hash(checked) == hash(want.key)
+        assert got == want == checked
+        assert str(got) == str(want) == str(checked)
 
 
 @FIXED

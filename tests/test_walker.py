@@ -5,6 +5,7 @@ import pytest
 from limtower.ordinals import DegLexIndex, deglex_compare, ord_compare, ord_from_int, parse_ordinal
 from limtower.walker import (
     WalkerContext,
+    _from_dict,
     add,
     format_element,
     height,
@@ -44,6 +45,25 @@ class TestContext:
         ctx = WalkerContext(2, o("5"))
         with pytest.raises(ValueError):
             ctx.basis([o("7")])
+
+    def test_alpha_message_names_the_first_entry_not_below_alpha(self):
+        # only the last entry is compared with alpha; the scan for the first runs on failure
+        ctx = WalkerContext(2, o("w*2"))
+        for entries, first in (
+            (["1", "w*2", "w*2+1", "w^2"], "w*2"),
+            (["w*2+1", "w*3", "w^2"], "w*2 + 1"),
+            (["0", "w+1", "w^w"], "w^(w)"),
+        ):
+            message = f"index entry {first} is not below alpha = w*2"
+            for attempt in (
+                lambda: ctx.basis([o(t) for t in entries]),
+                lambda: ctx.index(DegLexIndex(tuple(o(t) for t in entries))),
+                lambda: parse_element(ctx, "e[0] + 3*e[" + ", ".join(entries) + "]"),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    attempt()
+                assert str(exc.value) == message
+        assert format_element(ctx.basis([o("0"), o("w+1"), o("w+5")])) == "1*e[0, w + 1, w + 5]"
 
 
 class TestNormalize:
@@ -146,6 +166,31 @@ class TestModuleOps:
         assert mul_by_p(x) == ctx.basis([o("1"), o("w")])
         assert mul_by_p(mul_by_p(x)) == ctx.basis([o("w")])
         assert mul_by_p(mul_by_p(mul_by_p(x))).is_zero()
+
+    def test_carry_entry_points_match_normalize(self):
+        # scalar_mul, add and mul_by_p hand their pairs straight to the carry pass
+        rng = random.Random(79)
+        for p, alpha in ((2, "w*2+3"), (3, "w^2"), (5, "w+4")):
+            ctx = WalkerContext(p, o(alpha))
+            for _ in range(120):
+                x = random_walker_element(rng, ctx)
+                # y shares positions with x, some with x's coefficients negated or scaled by p
+                y = ctx.element(
+                    [(k, rng.choice((-v, p * v, rng.randint(-(p**5), p**5)))) for k, v in x.support]
+                    + list(random_walker_element(rng, ctx).support)
+                )
+                for c in (0, 1, -1, -7, p, -p, 3 * p, -(p**3), rng.randint(-(p**5), p**5)):
+                    got = scalar_mul(c, x)
+                    assert got == normalize(_from_dict(ctx, {k: c * v for k, v in x.support}))
+                    assert got == normalize_random_order(ctx, ctx.element([(k, c * v) for k, v in x.support]), rng)
+                    assert got.normalized and all(1 <= v < p for _, v in got.support)
+                merged = dict(x.support)
+                for k, v in y.support:
+                    merged[k] = merged.get(k, 0) + v
+                assert add(x, y) == add(y, x) == normalize(_from_dict(ctx, merged))
+                assert add(x, scalar_mul(-1, x)).is_zero()
+                assert mul_by_p(x) == normalize(_from_dict(ctx, {k: p * v for k, v in x.support}))
+                assert mul_by_p(y) == scalar_mul(p, normalize(y))
 
     def test_relation_membership(self):
         ctx = WalkerContext(3, o("w"))
