@@ -96,18 +96,19 @@ def _cmd_walker(args) -> int:
     if args.walker_command == "normalize":
         x = wk.parse_element(ctx, args.element)
         nx = wk.normalize(x)
+        normal = wk.format_element(nx)
         result = {
             "input": wk.format_element(x),
-            "normalized": wk.format_element(nx),
+            "normalized": normal,
             "is_zero": nx.is_zero(),
             "p": ctx.p,
             "alpha": str(ctx.alpha),
         }
-        lines = [f"normal form: {wk.format_element(nx)}"]
+        lines = [f"normal form: {normal}"]
     elif args.walker_command == "height":
         x = wk.parse_element(ctx, args.element)
-        h = wk.height(x)
         nx = wk.normalize(x)
+        h = wk.height(nx)
         result = {
             "input": wk.format_element(x),
             "height": str(h),

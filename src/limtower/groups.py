@@ -256,13 +256,6 @@ def smith_certificate_error(mat: Matrix, u: Matrix, d: Matrix, v: Matrix) -> str
 # Hermite-style canonical bases for integer row lattices
 
 
-def _pivot(row: list[int]) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return -1
-
-
 def _reduced_past(vec: list[int], rows_at: dict[int, list[int]], j: int) -> list[int]:
     """vec with its entry at each pivot column past j reduced into [0, pivot).
 
@@ -323,21 +316,28 @@ def row_hermite_basis(rows: list[list[int]] | list[Vector], width: int) -> tuple
 
 
 def lattice_solve(basis: tuple[Vector, ...], vec: Vector | list[int]) -> list[int] | None:
-    """Coefficients x with sum x_k * basis_k = vec, or None if vec is outside."""
+    """Coefficients x with sum x_k * basis_k = vec, or None if vec is outside.
+
+    `basis` is in echelon form (pivot columns strictly increase), as from
+    `row_hermite_basis`.  In the identity basis the coefficients are vec.
+    """
+    n = len(vec)
+    if len(basis) == n and all(row[k] == 1 and row.count(0) == n - 1 == len(row) - 1 for k, row in enumerate(basis)):
+        return list(vec)
     v = list(vec)
     coeffs = [0] * len(basis)
+    p = -1
     for k, row in enumerate(basis):
-        p = _pivot(list(row))
-        if v[p] == 0:
-            continue
-        if v[p] % row[p]:
+        p += 1
+        while not row[p]:
+            p += 1
+        q, rem = divmod(v[p], row[p])
+        if rem:
             return None
-        q = v[p] // row[p]
-        v = [x - q * y for x, y in zip(v, row)]
-        coeffs[k] = q
-    if any(v):
-        return None
-    return coeffs
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+            coeffs[k] = q
+    return None if any(v) else coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +545,13 @@ def multiplier_of(h: GroupMap) -> int | None:
     n = g.ngens
     if n == 0:
         return 1
-    orders = g.orders
-    m = None
-    for j in range(len(g.invariant_factors), n):  # free coordinates pin m
-        m = h.matrix[j][j]
-        break
-    if m is None:
-        # largest invariant factor determines m modulo itself; smaller ones must agree
-        m = h.matrix[len(g.invariant_factors) - 1][len(g.invariant_factors) - 1]
-    cand = multiplication_map(g, m)
-    return m if cand.matrix == h.matrix else None
+    t = len(g.invariant_factors)
+    m = h.matrix[t][t] if t < n else h.matrix[t - 1][t - 1]
+    # torsion rows are stored reduced, so each diagonal entry is m reduced by its order
+    for i, (row, o) in enumerate(zip(h.matrix, g.orders)):
+        if row[i] != (m % o if o else m) or any(row[:i]) or any(row[i + 1:]):
+            return None
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +633,7 @@ class Subgroup:
     lazily and cached.
     """
 
-    __slots__ = ("ambient", "generators", "basis", "__dict__")
+    __slots__ = ("ambient", "generators", "basis", "_trivial", "__dict__")
 
     def __init__(self, ambient: FgAbGroup, generators) -> None:
         self._span(ambient, tuple(ambient.reduce(g) for g in generators))
@@ -651,12 +648,11 @@ class Subgroup:
     def _span(self, ambient: FgAbGroup, generators: tuple[Vector, ...]) -> None:
         self.ambient = ambient
         self.generators = generators
+        # generators are stored reduced, so a nonzero element has a nonzero entry
+        self._trivial = not any(map(any, generators))
         torsion = ambient.torsion_rows
-        if any(map(any, generators)):
-            # the torsion rows go in first: each is its own pivot row
-            self.basis = row_hermite_basis([*torsion, *generators], ambient.ngens)
-        else:
-            self.basis = torsion
+        # the torsion rows go in first: each is its own pivot row
+        self.basis = torsion if self._trivial else row_hermite_basis([*torsion, *generators], ambient.ngens)
 
     @classmethod
     def full(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -666,6 +662,7 @@ class Subgroup:
         sub = cls.__new__(cls)
         sub.ambient = ambient
         sub.generators = sub.basis = tuple(map(tuple, _eye(ambient.ngens)))
+        sub._trivial = not ambient.ngens
         return sub
 
     @classmethod
@@ -693,8 +690,7 @@ class Subgroup:
         return all(self.contains(unit_vector(n, i)) for i in range(n))
 
     def is_trivial(self) -> bool:
-        # generators are stored reduced, so a nonzero element has a nonzero entry
-        return not any(map(any, self.generators))
+        return self._trivial
 
     @cached_property
     def _form(self) -> tuple[Presentation, tuple[Vector, ...]]:

@@ -403,7 +403,8 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     The ranks of e-bar^j Z^r fall strictly until they stop, after at most r
     steps; at that j, span(e-bar^j Z^r) = V and e-bar^j Z^r is e-bar-invariant,
     so e-bar has integer coordinates on its Hermite basis B, with determinant
-    det(e-bar on V).  A nonsingular e-bar stops at once, with B = Z^r.
+    det(e-bar on V).  A nonsingular e-bar stops at once, with B = Z^r: the
+    images are the columns of e-bar, and each is its own coordinate row.
     """
     if not isinstance(tail, ConstantEndo):
         return None
@@ -418,14 +419,15 @@ def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     k = len(t.invariant_factors)
     ebar = [row[k:] for row in tail.endo.matrix[k:]]
     basis = [unit_vector(r, i) for i in range(r)]
+    images = list(zip(*ebar))  # e-bar e_i is column i of e-bar
     while True:
-        images = [mat_vec(ebar, b) for b in basis]
         nxt = row_hermite_basis(images, r)
         if not nxt:
             return None  # nilpotent free action: chain bottoms out
         if len(nxt) == len(basis):
             break
         basis = nxt
+        images = [mat_vec(ebar, b) for b in basis]
     c_rows = [lattice_solve(basis, w) for w in images]
     if None in c_rows:
         raise RuntimeError("tail map does not preserve its eventual image lattice")

@@ -358,6 +358,31 @@ class TestTrivialityFastPath:
             assert full == spanned and full.is_full()
             assert full.is_trivial() == g.is_trivial()
 
+    def test_stored_flag_matches_the_generators(self):
+        """The flag set when a subgroup is built equals a fresh scan of its generators."""
+        rng = random.Random(31)
+        built = []  # (construction path, subgroup)
+        for g in self.AMBIENTS:
+            built += [("zero", Subgroup.zero(g)), ("full", Subgroup.full(g))]
+            for _ in range(10):
+                gens = [tuple(rng.randint(-6, 6) for _ in range(g.ngens)) for _ in range(rng.randint(0, 3))]
+                sub = Subgroup(g, gens)
+                built.append(("__init__", sub))
+                # multiples of the orders, which vanish only after reduction
+                built.append(("__init__", Subgroup(g, [tuple(rng.randint(-2, 2) * o for o in g.orders)])))
+                built.append(("_of_reduced", Subgroup._of_reduced(g, tuple(g.reduce(x) for x in gens))))
+                built.append(("image under zero", image_of_subgroup(zero_map(g, rng.choice(self.AMBIENTS)), sub)))
+        built += [("stream", sub) for sub in self._subgroups(rng)]
+        seen = set()
+        for path, sub in built:
+            want = not any(map(any, sub.generators))
+            assert sub.is_trivial() == want == sub.as_group().is_trivial(), (path, sub.ambient, sub.generators)
+            seen.add((path, want))
+        # every path but the zero map's image is seen both trivial and not
+        paths = {path for path, _ in built}
+        assert {p for p, t in seen if t} == paths
+        assert {p for p, t in seen if not t} == paths - {"zero", "image under zero"}
+
 
 class TestSums:
     def test_direct_sum_projections(self):

@@ -1,13 +1,16 @@
-"""The Hermite kernel and the map check against the code they replaced.
+"""The Hermite kernel, the solver and the map checks against the code they replaced.
 
 The reference below is the earlier `_pivot`, `_insert_row` and
 `row_hermite_basis` of `groups`, which kept the pivot rows in a sorted
-list found by `bisect` and rescanned each row from column 0, and the
-earlier `GroupMap.__post_init__`, which reduced every row and checked
-every column.  They are kept verbatim as oracles.  On seeded inputs the
-current kernel must return the same basis, and the current map check
-must accept the same matrices, store the same reduced matrix and raise
-the same message.
+list found by `bisect` and rescanned each row from column 0, the earlier
+`lattice_solve`, which found each pivot by `_pivot` on a copy of its row,
+the earlier `GroupMap.__post_init__`, which reduced every row and checked
+every column, and the earlier `multiplier_of`, which built the
+multiplication map and compared matrices.  They are kept verbatim as
+oracles.  On seeded inputs the current kernel must return the same basis,
+the current solver the same coefficients, the current map check must
+accept the same matrices, store the same reduced matrix and raise the
+same message, and `multiplier_of` must return the same multiplier.
 """
 
 import random
@@ -17,7 +20,17 @@ from math import gcd
 
 import pytest
 
-from limtower.groups import FgAbGroup, GroupMap, Vector, row_hermite_basis, unit_vector, xgcd
+from limtower.groups import (
+    FgAbGroup,
+    GroupMap,
+    Vector,
+    lattice_solve,
+    multiplication_map,
+    multiplier_of,
+    row_hermite_basis,
+    unit_vector,
+    xgcd,
+)
 
 # --- the reference ------------------------------------------------------------
 
@@ -71,6 +84,48 @@ def reference_row_hermite_basis(rows: list[list[int]] | list[Vector], width: int
             if q:
                 basis[k2] = [x - q * y for x, y in zip(basis[k2], basis[k])]
     return tuple(tuple(r) for r in basis)
+
+
+def reference_lattice_solve(basis: tuple[Vector, ...], vec: Vector | list[int]) -> list[int] | None:
+    """Coefficients x with sum x_k * basis_k = vec, or None if vec is outside."""
+    v = list(vec)
+    coeffs = [0] * len(basis)
+    for k, row in enumerate(basis):
+        p = _pivot(list(row))
+        if v[p] == 0:
+            continue
+        if v[p] % row[p]:
+            return None
+        q = v[p] // row[p]
+        v = [x - q * y for x, y in zip(v, row)]
+        coeffs[k] = q
+    if any(v):
+        return None
+    return coeffs
+
+
+def reference_multiplier_of(h: GroupMap) -> int | None:
+    """The integer m with h = multiplication by m, or None.
+
+    Only meaningful for endomorphisms.  A free generator pins m exactly;
+    with pure torsion the smallest consistent nonnegative m is returned.
+    """
+    if h.domain != h.codomain:
+        return None
+    g = h.domain
+    n = g.ngens
+    if n == 0:
+        return 1
+    orders = g.orders
+    m = None
+    for j in range(len(g.invariant_factors), n):  # free coordinates pin m
+        m = h.matrix[j][j]
+        break
+    if m is None:
+        # largest invariant factor determines m modulo itself; smaller ones must agree
+        m = h.matrix[len(g.invariant_factors) - 1][len(g.invariant_factors) - 1]
+    cand = multiplication_map(g, m)
+    return m if cand.matrix == h.matrix else None
 
 
 @dataclass(frozen=True)
@@ -224,3 +279,136 @@ class TestMapCheckReference:
         got = _outcome(GroupMap, dom, cod, matrix)
         assert got[0] == "error"
         assert got == _outcome(ReferenceMap, dom, cod, matrix)
+
+
+class TestSolverReference:
+    def test_same_coefficients_on_hermite_bases(self):
+        rng = random.Random(13)
+        seen = set()  # (width, full rank, found)
+        for k in range(1600):
+            width = 1 + k // 2 % 8
+            rows = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(1, width + 2))]
+            if k % 2:  # rank-deficient: every row in the span of the first two
+                a, b = rows[0], rows[-1]
+                rows = [[rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)] for _ in rows]
+            basis = row_hermite_basis(rows, width)
+            if not basis:
+                continue
+            inside = [sum(rng.randint(-5, 5) * row[j] for row in basis) for j in range(width)]
+            outside = [rng.randint(-9, 9) for _ in range(width)]
+            nudged = list(inside)
+            nudged[rng.randrange(width)] += 1
+            for vec in (inside, tuple(inside), outside, nudged):
+                got = lattice_solve(basis, vec)
+                assert got == reference_lattice_solve(basis, vec), (basis, vec)
+                seen.add((width, len(basis) == width, got is not None))
+        # every width is solved at full rank and below it, with vectors found and not found
+        assert {(w, True, found) for w in range(1, 9) for found in (True, False)} <= seen
+        assert {(w, False, found) for w in range(2, 9) for found in (True, False)} <= seen
+
+    def test_identity_returns_the_vector(self):
+        rng = random.Random(17)
+        for n in range(9):
+            for row_type in (tuple, list):
+                basis = tuple(row_type(unit_vector(n, i)) for i in range(n))
+                for _ in range(20):
+                    vec = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+                    got = lattice_solve(basis, vec)
+                    assert got == list(vec) == reference_lattice_solve(basis, vec)
+                    assert type(got) is list
+
+    def test_unitriangular_basis_is_not_the_identity(self):
+        """A full-rank basis with pivots 1 spans Z^n, but its coefficients are not the vector."""
+        rng = random.Random(19)
+        differ = 0
+        for k in range(400):
+            n = 2 + k % 7
+            basis = [unit_vector(n, i) for i in range(n)]
+            i = rng.randrange(n - 1)
+            basis[i][rng.randrange(i + 1, n)] = rng.choice((-3, -1, 1, 2, 5))
+            for _ in range(rng.randint(0, n)):
+                i = rng.randrange(n - 1)
+                basis[i][rng.randrange(i + 1, n)] = rng.randint(-5, 5)
+            basis = tuple(map(tuple, basis))
+            vec = [rng.randint(-9, 9) for _ in range(n)]
+            got = lattice_solve(basis, vec)
+            assert got == reference_lattice_solve(basis, vec), (basis, vec)
+            differ += got != vec
+        assert differ >= 300
+
+    def test_near_identity_bases(self):
+        # each differs from the identity in one place; none may be taken for it
+        bases = [
+            ((1, 0), (0, 2)),
+            ((2, 0), (0, 1)),
+            ((1, 1), (0, 1)),
+            ((1, 0, 0), (0, 1, 0)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+            ((1, 0, 0), (0, 1, 3), (0, 0, 1)),
+        ]
+        rng = random.Random(23)
+        for basis in bases:
+            for _ in range(30):
+                vec = [rng.randint(-6, 6) for _ in range(len(basis[0]))]
+                assert lattice_solve(basis, vec) == reference_lattice_solve(basis, vec), (basis, vec)
+
+
+def endo_cases(count: int, seed: int):
+    """Endomorphisms of the GROUPS: multiplications by m and by m + an order, and perturbed ones.
+
+    A perturbed map adds a random value to one entry of a multiplication
+    matrix; a third of them hit the diagonal.  Perturbations that are not
+    homomorphisms are drawn again.
+    """
+    rng = random.Random(seed)
+    k = 0
+    while k < count:
+        g = GROUPS[k % len(GROUPS)]
+        m = rng.randint(-30, 30)
+        if k % 3 == 0:
+            yield multiplication_map(g, m)
+        elif k % 3 == 1:
+            top = g.invariant_factors[-1] if g.invariant_factors else 1
+            yield multiplication_map(g, m + rng.randint(-3, 3) * top)
+        elif g.ngens:
+            rows = [list(r) for r in multiplication_map(g, m).matrix]
+            i = rng.randrange(g.ngens)
+            j = i if rng.random() < 1 / 3 else rng.randrange(g.ngens)
+            rows[i][j] += rng.randint(-12, 12)
+            try:
+                yield GroupMap(g, g, rows)
+            except ValueError:
+                continue
+        k += 1
+
+
+class TestMultiplierReference:
+    def test_same_multiplier_as_the_reference(self):
+        found = []
+        for h in endo_cases(3000, seed=29):
+            got = multiplier_of(h)
+            assert got == reference_multiplier_of(h), (h.domain, h.matrix)
+            found.append((h.domain.free_rank > 0, h.domain.invariant_factors != (), got))
+        multipliers = [m for _, _, m in found if m is not None]
+        # multiplications and non-multiplications both occur often, with negative m on free groups
+        assert len(multipliers) > 1000 and len(found) - len(multipliers) > 300
+        assert sum(m < 0 for m in multipliers) > 200
+        for free, torsion in ((False, True), (True, False), (True, True)):
+            kinds = {m is None for f, t, m in found if (f, t) == (free, torsion)}
+            assert kinds == {True, False}, (free, torsion)
+
+    def test_congruent_multipliers_give_one_answer(self):
+        for g in GROUPS:
+            if g.free_rank or not g.invariant_factors:
+                continue
+            top = g.invariant_factors[-1]
+            for m in range(-2 * top, 2 * top):
+                h = multiplication_map(g, m)
+                assert multiplier_of(h) == reference_multiplier_of(h) == m % top
+                assert multiplier_of(h) == multiplier_of(multiplication_map(g, m + 5 * top))
+
+    def test_not_an_endomorphism(self):
+        h = GroupMap(GROUPS[3], GROUPS[4], [[3]])
+        assert multiplier_of(h) is None is reference_multiplier_of(h)
+        trivial = GroupMap(GROUPS[0], GROUPS[0], [])
+        assert multiplier_of(trivial) == 1 == reference_multiplier_of(trivial)
