@@ -1,7 +1,8 @@
 """Limits and derived limits of towers of finitely generated abelian groups.
 
 The tower layer computes transfinite image filtrations, Mittag-Leffler
-status, lim and lim1, locality, and the epimorphic/limitless decomposition.
+status, lim and lim1, locality, and the epimorphic/limitless decomposition,
+all read from the one `Filtration` that `stabilize` returns.
 The walker layer rewrites elements of the bounded-height modules D'_alpha
 and certifies their transfinite height filtration.
 """
@@ -49,7 +50,6 @@ from .towers import (
     ZeroTail,
     analyze,
     constant_tower,
-    decompose,
     image_tower,
     is_epimorphic_tower,
     is_null_tower,

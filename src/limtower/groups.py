@@ -367,6 +367,7 @@ class FgAbGroup:
             if prev is not None and d % prev:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+        object.__setattr__(self, "ngens", len(self.invariant_factors) + self.free_rank)
 
     @cached_property
     def orders(self) -> Vector:
@@ -378,10 +379,6 @@ class FgAbGroup:
         """The rows o*e_i of the torsion generators: a reduced echelon basis of the relations."""
         n = self.ngens
         return tuple(tuple(unit_vector(n, i, o)) for i, o in enumerate(self.invariant_factors))
-
-    @property
-    def ngens(self) -> int:
-        return len(self.invariant_factors) + self.free_rank
 
     def reduce(self, vec) -> Vector:
         return tuple(x % o if o else x for x, o in zip(vec, self.orders))
@@ -591,7 +588,6 @@ def group_from_presentation(num_generators: int, relations: list[list[int]] | li
     u, uinv, d, _ = _smith_extended(a, n, len(rel))
     diag = [d[k][k] for k in range(min(n, len(rel)))]
     torsion: list[int] = []
-    kept: list[int] = []
     free: list[int] = []
     for k in range(n):
         dk = diag[k] if k < len(diag) else 0
@@ -693,7 +689,7 @@ class Subgroup:
         return self._trivial
 
     @cached_property
-    def _form(self) -> tuple[Presentation, tuple[Vector, ...]]:
+    def _form(self) -> Presentation:
         # present lattice/torsion: generators = basis rows, relations =
         # ambient torsion rows written in basis coordinates
         rels = []
@@ -702,29 +698,27 @@ class Subgroup:
             if coeffs is None:  # torsion rows are folded into every lattice
                 raise RuntimeError("ambient torsion row outside the subgroup lattice")
             rels.append(coeffs)
-        pres = group_from_presentation(len(self.basis), rels)
-        return pres, self.basis
+        return group_from_presentation(len(self.basis), rels)
 
     def as_group(self) -> FgAbGroup:
-        return self._form[0].group
+        return self._form.group
 
     def order(self) -> int | None:
         return self.as_group().order()
 
     def include(self) -> GroupMap:
         """Inclusion of the canonical form into the ambient group."""
-        pres, basis = self._form
+        pres, basis = self._form, self.basis
         # canonical generator k lifts to sum_r lift[r][k] * basis[r]: column k of basis^T @ lift
         mat = mat_mul(_transpose(basis, len(basis), self.ambient.ngens), pres.lift, pres.group.ngens)
         return GroupMap(pres.group, self.ambient, mat)
 
     def coords(self, vec) -> Vector:
         """Coordinates of an ambient element (must lie in the subgroup)."""
-        pres, basis = self._form
-        coeffs = lattice_solve(basis, self.ambient.reduce(vec))
+        coeffs = lattice_solve(self.basis, self.ambient.reduce(vec))
         if coeffs is None:
             raise ValueError("element is not in the subgroup")
-        return pres.project(tuple(coeffs))
+        return self._form.project(tuple(coeffs))
 
     def element_list(self, cap: int = DEFAULT_ENUM_CAP) -> list[Vector]:
         """All elements, as ambient coordinate vectors."""

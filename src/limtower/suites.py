@@ -35,7 +35,6 @@ from .towers import (
     ZeroTail,
     analyze,
     constant_tower,
-    decompose,
     image_tower,
     is_epimorphic_tower,
     is_null_tower,
@@ -407,27 +406,30 @@ _PAPER_EXAMPLES = (
 
 
 def _profile(tw: Tower) -> dict:
-    """The fields of `analyze`, of the level-0 groups of `decompose` and of I^2 that a table row can state.
+    """The fields of the tower's pass, of its decomposition's level-0 groups and of I^2 that a table row can state.
 
-    Groups are given by their canonical text, so "0" is the trivial group and
-    "None" an undetermined limit.
+    One pass over the tower and one over its limitless part L answer every
+    field.  Groups are given by their canonical text, so "0" is the trivial
+    group and "None" an undetermined limit.
     """
-    rep = analyze(tw)
-    dec = decompose(tw)
+    f = stabilize(tw)
+    dec = f.decompose()
+    lim, lim1 = f.lim_lim1()
+    omega_complete, omega_witness = f.omega_completion()
     return {
-        "ml": rep.ml_status.kind,
-        "stage": rep.ml_status.stage,
-        "length": str(rep.length),
-        "lim": str(rep.lim),
-        "lim1": rep.lim1_status.kind,
-        "local": rep.local,
-        "omega_complete": rep.omega_complete,
-        "omega_witness": rep.omega_witness,
+        "ml": f.status.kind,
+        "stage": f.status.stage,
+        "length": str(f.length),
+        "lim": str(lim),
+        "lim1": lim1.kind,
+        "local": f.is_local(),
+        "omega_complete": omega_complete,
+        "omega_witness": omega_witness,
         "E0": str(dec.epimorphic_part.group(0)),
-        "L0": str(dec.limitless_part.group(0)),
-        "L_null": is_null_tower(dec.limitless_part),
-        "lim_L": str(stabilize(dec.limitless_part).lim_lim1()[0]),
-        "I2_0": str(iterate_image(tw, 2).sub_at(0).as_group()),
+        "L0": str(dec.limitless.tower.group(0)),
+        "L_null": is_null_tower(dec.limitless.tower),
+        "lim_L": str(dec.limitless.lim_lim1()[0]),
+        "I2_0": str(f.stage(ord_from_int(2)).sub_at(0).as_group()),
         "epimorphic": is_epimorphic_tower(tw),
     }
 
@@ -474,9 +476,8 @@ def criterion_finite_ml(rng: random.Random, trials: int = 200) -> CheckResult:
     )
 
 
-def _shift_change(tw: Tower) -> str | None:
-    """The shift ("shift" or "double shift") that changes a status or the limit, or None."""
-    view = analyze(tw).shift_invariant_view()
+def _shift_change(tw: Tower, view: tuple) -> str | None:
+    """The shift ("shift" or "double shift") that changes `view`, the tower's shift-invariant view, or None."""
     shifted, _ = shift(tw)
     if view != analyze(shifted).shift_invariant_view():
         return "shift"
@@ -489,7 +490,7 @@ def _shift_change(tw: Tower) -> str | None:
 def criterion_shift_invariance() -> CheckResult:
     """Shifting drops a level; every status and the limit must survive."""
     for name, tw in corpus_towers():
-        if (change := _shift_change(tw)) is not None:
+        if (change := _shift_change(tw, analyze(tw).shift_invariant_view())) is not None:
             return CheckResult("shift-invariance", False, f"corpus tower {name} changed under {change}")
     return CheckResult("shift-invariance", True, f"{len(corpus_towers())} corpus towers invariant under shifts")
 
@@ -504,9 +505,10 @@ def criterion_general_tails(rng: random.Random, trials: int = 40) -> CheckResult
     witnessed = 0
     for t in range(trials):
         tw = random_general_tail_tower(rng)
-        if (change := _shift_change(tw)) is not None:
+        rep = analyze(tw)
+        if (change := _shift_change(tw, rep.shift_invariant_view())) is not None:
             return CheckResult("general-tails", False, f"tower {t} changed under {change}")
-        if analyze(tw).ml_status.kind != "never":
+        if rep.ml_status.kind != "never":
             continue
         witnessed += 1
         c = tw.stable_index
@@ -592,30 +594,30 @@ def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResul
     """E epimorphic, I^len(L) = 0, orders factor; plus a hand-built double."""
     for t in range(trials):
         tw = random_decidable_tower(rng)
-        dec = decompose(tw)
+        dec = stabilize(tw).decompose()
         if not is_epimorphic_tower(dec.epimorphic_part):
             return CheckResult("decomposition-signature", False, f"tower {t}: E not epimorphic")
-        filt = stabilize(dec.limitless_part)
+        filt = dec.limitless
         if filt.length.kind != "exact":
             return CheckResult("decomposition-signature", False, f"tower {t}: L length undecided")
         if not filt.stage(filt.length.value).is_trivial():
             return CheckResult("decomposition-signature", False, f"tower {t}: I^len(L) nonzero")
         for i in range(tw.stable_index + 1):
             if tw.group(i).is_finite():
-                if tw.group(i).order() != dec.epimorphic_part.group(i).order() * dec.limitless_part.group(i).order():
+                if tw.group(i).order() != dec.epimorphic_part.group(i).order() * filt.tower.group(i).order():
                     return CheckResult(
                         "decomposition-signature", False, f"tower {t}: order factorization fails at level {i}"
                     )
     # a second decomposition of S(Z/6, 2), built by hand from the 3-part
     s6 = multiplication_tower(fg_group(6), 2)
-    auto = decompose(s6)
+    auto = stabilize(s6).decompose()
     hand_e = constant_tower(fg_group(3))  # the 3-torsion with (invertible) mult by 2
     hand_l = null_tower([fg_group(2)])
     checks = [
         auto.epimorphic_part.group(0) == hand_e.group(0),
         stabilize(auto.epimorphic_part).lim_lim1()[0] == stabilize(hand_e).lim_lim1()[0],
-        auto.limitless_part.group(0) == hand_l.group(0),
-        is_null_tower(auto.limitless_part) and is_null_tower(hand_l),
+        auto.limitless.tower.group(0) == hand_l.group(0),
+        is_null_tower(auto.limitless.tower) and is_null_tower(hand_l),
     ]
     if not all(checks):
         return CheckResult("decomposition-signature", False, "hand-built decomposition disagrees")

@@ -8,6 +8,8 @@ image filtration, its length, Mittag-Leffler detection, lim and the
 lim1 vanishing status, omega-completion, locality, and the epimorphic/local
 decomposition are all computed exactly; anything outside the decidable
 cases is reported as Unknown or a partial stage, never silently guessed.
+`stabilize` runs one pass and returns a `Filtration`; each question above,
+`decompose()` included, reads it, and the decomposition carries L's own pass.
 
 The key finite-to-transfinite step: on a constant tail, one levelwise
 equality I^N = I^{N+1} of image stages is a certificate that the chain is
@@ -506,6 +508,16 @@ def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
 
 
 @dataclass(frozen=True)
+class Decomposition:
+    """S as an extension of a limitless tower by an epimorphic one; `limitless.tower` is L."""
+
+    epimorphic_part: Tower
+    limitless: Filtration
+    include: TowerMorphism
+    project: TowerMorphism
+
+
+@dataclass(frozen=True)
 class Filtration:
     """The image filtration of one tower, as far as one pass decides it."""
 
@@ -613,6 +625,26 @@ class Filtration:
             return False, self.tower.tail.group.free_rank
         return None, None
 
+    def decompose(self) -> Decomposition:
+        """Split S as E >-> S ->> L with E epimorphic and lim L = 0.
+
+        E_i is the image of lim S -> S_i, which equals the stable image stage.
+        Both verifications stated by the decomposition theorem are executed:
+        E's maps are surjective, and L's own stable image vanishes.  L is
+        stabilized once, at this pass's horizon, and returned as `limitless`.
+        """
+        if self.stable_subs is None:
+            raise ValueError("decomposition needs a decidable tower (stabilized or multiplication tail)")
+        epi, include = subtower(self.tower, self.stable_subs)
+        loc, project = quotient_tower(self.tower, self.stable_subs)
+        if not is_epimorphic_tower(epi):
+            raise RuntimeError("stable image tower must be epimorphic")
+        limitless = stabilize(loc, self.horizon)
+        lim_l, _ = limitless.lim_lim1()
+        if lim_l is None or not lim_l.is_trivial():
+            raise RuntimeError("quotient by the stable image must have trivial limit")
+        return Decomposition(epi, limitless, include, project)
+
 
 def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
     """Decide the image chain once; every tower question reads the result.
@@ -649,36 +681,6 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
     omega_chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
     length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(omega_chain) - 1)))
     return Filtration(s, horizon, status, length, omega_chain[-1], None, omega_chain)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """S as an extension of a limitless tower by an epimorphic one."""
-
-    epimorphic_part: Tower
-    limitless_part: Tower
-    include: TowerMorphism
-    project: TowerMorphism
-
-
-def decompose(s: Tower, horizon: int = DEFAULT_HORIZON) -> Decomposition:
-    """Split S as E >-> S ->> L with E epimorphic and lim L = 0.
-
-    E_i is the image of lim S -> S_i, which equals the stable image stage.
-    Both verifications stated by the decomposition theorem are executed:
-    E's maps are surjective, and L's own stable image vanishes.
-    """
-    stable_subs = stabilize(s, horizon).stable_subs
-    if stable_subs is None:
-        raise ValueError("decomposition needs a decidable tower (stabilized or multiplication tail)")
-    epi, include = subtower(s, stable_subs)
-    loc, project = quotient_tower(s, stable_subs)
-    if not is_epimorphic_tower(epi):
-        raise RuntimeError("stable image tower must be epimorphic")
-    lim_l, _ = stabilize(loc, horizon).lim_lim1()
-    if lim_l is None or not lim_l.is_trivial():
-        raise RuntimeError("quotient by the stable image must have trivial limit")
-    return Decomposition(epi, loc, include, project)
 
 
 # ---------------------------------------------------------------------------

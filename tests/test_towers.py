@@ -30,7 +30,6 @@ from limtower.towers import (
     ZeroTail,
     analyze,
     constant_tower,
-    decompose,
     image_tower,
     is_epimorphic_tower,
     is_null_tower,
@@ -51,6 +50,9 @@ from limtower.towers import (
 from limtower.towers import _full_stage, _image_stages
 from limtower.suites import (
     behind_finite_front,
+    corpus_towers,
+    paper_examples_suite,
+    property_suite,
     random_decidable_tower,
     random_finite_group,
     random_finite_tower,
@@ -215,6 +217,25 @@ def witnessed_tail():
 
 
 class TestStabilizationPass:
+    def test_repeat_at_exactly_the_horizon(self):
+        # the truncation at 7 repeats at stage 8; the one at 8 would repeat at 9
+        assert str(stabilize(truncated_constant_tower(fg_group(2), 7), 8).status) == "Stabilized(8)"
+        t = truncated_constant_tower(fg_group(2), 8)
+        filt = stabilize(t, 8)
+        assert str(filt.status) == "Unknown(horizon=8)"
+        st = filt.stage(ord_from_int(20))
+        assert not st.exact
+        assert st.computed_to == ord_from_int(9)
+        assert st.subs == iterate_image(t, 9).subs
+
+    def test_stages_past_the_omega_chain_are_its_last(self):
+        filt = stabilize(dict(corpus_towers())["prefixed-z5-then-z-by-2"])
+        assert str(filt.length) == "w + 1"
+        for beta in ("w+5", "w*2"):
+            st = filt.stage(parse_ordinal(beta))
+            assert st.exact
+            assert st.subs == filt.omega_chain[-1]
+
     def test_witnessed_report_ignores_horizon(self):
         t = witnessed_tail()
         shallow, deep = analyze(t, horizon=1), analyze(t, horizon=128)
@@ -494,37 +515,76 @@ class TestLimits:
 
 class TestDecomposition:
     def test_z6_split(self):
-        d = decompose(mult_tower(6, 2))
+        d = stabilize(mult_tower(6, 2)).decompose()
         assert d.epimorphic_part.group(0) == fg_group(3)
         assert is_epimorphic_tower(d.epimorphic_part)
-        assert is_null_tower(d.limitless_part)
-        assert d.limitless_part.group(0) == fg_group(2)
+        assert is_null_tower(d.limitless.tower)
+        assert d.limitless.tower.group(0) == fg_group(2)
 
     def test_never_stabilizing_split(self):
         t = multiplication_tower(fg_group(4, 0), 2)
-        d = decompose(t)
+        d = stabilize(t).decompose()
         # stable stage is trivial, so E is the zero tower and L is everything
         assert d.epimorphic_part.group(0).is_trivial()
-        assert d.limitless_part.group(0) == fg_group(4, 0)
-        lim_l, _ = stabilize(d.limitless_part).lim_lim1()
+        assert d.limitless.tower.group(0) == fg_group(4, 0)
+        lim_l, _ = d.limitless.lim_lim1()
         assert lim_l.is_trivial()
 
     def test_undecidable_raises(self):
         z2 = fg_group(0, 0)
         t = Tower((), (), ConstantEndo(z2, GroupMap(z2, z2, ((2, 1), (0, 3)))))
         with pytest.raises(ValueError):
-            decompose(t)
+            stabilize(t).decompose()
 
     def test_exactness_orders(self):
         rng = random.Random(53)
         for _ in range(40):
             t = random_finite_tower(rng, max_levels=3, max_order=32)
-            d = decompose(t)
+            d = stabilize(t).decompose()
             for i in range(t.stable_index + 1):
                 assert (
                     t.group(i).order()
-                    == d.epimorphic_part.group(i).order() * d.limitless_part.group(i).order()
+                    == d.epimorphic_part.group(i).order() * d.limitless.tower.group(i).order()
                 )
+
+
+class TestOnePassPerTower:
+    """Each `stabilize` pass asks for the never-stabilizes witness exactly once, so counting
+    `_tail_never_witness` calls counts passes."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        witness = towers_mod._tail_never_witness
+
+        def counted(*args):
+            calls.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(towers_mod, "_tail_never_witness", counted)
+        return calls
+
+    def test_one_witness_call_per_pass(self, passes):
+        for t in (mult_tower(6, 2), witnessed_tail(), truncated_constant_tower(fg_group(2), 3)):
+            before = len(passes)
+            stabilize(t)
+            assert len(passes) == before + 1
+
+    def test_decompose_runs_one_pass_over_l_at_the_same_horizon(self, passes):
+        filt = stabilize(mult_tower(6, 2), 5)
+        passes.clear()
+        d = filt.decompose()
+        assert len(passes) == 1
+        assert d.limitless.horizon == 5
+        assert str(d.limitless.status) == "Stabilized(1)"
+
+    def test_suites_stabilize_each_tower_and_limitless_part_once(self, passes):
+        # paper examples: 10 rows x (the tower + L), then 10 corpus towers x 3 shifts
+        assert all(c.passed for c in paper_examples_suite())
+        assert len(passes) == 50
+        passes.clear()
+        assert all(c.passed for c in property_suite(7))
+        assert len(passes) == 964
 
 
 class TestLocalityAndExtensions:

@@ -238,6 +238,11 @@ class TestHeights:
         with pytest.raises(ValueError):
             in_p_beta(x, o("w*3"))
 
+    def test_membership_at_alpha_itself(self):
+        ctx = ctx23()
+        assert in_p_beta(ctx.zero(), ctx.alpha)
+        assert not in_p_beta(ctx.basis([o("0")]), ctx.alpha)
+
     def test_ulm_probe_report(self):
         ctx = WalkerContext(5, o("w+3"))
         rep = ulm_probe(ctx, [o("0"), o("4"), o("w"), o("w+2")])
