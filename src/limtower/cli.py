@@ -68,8 +68,7 @@ def _cmd_analyze(args) -> int:
     lim_text = body["lim_pretty"] if rep.lim is not None else "undetermined"
     lines = [
         f"ml_status: {body['ml_status']['kind']}",
-        f"length: {body['length']['value'] if body['length'] else 'unknown'}"
-        + (f" ({body['length']['kind']})" if body["length"] else ""),
+        f"length: {body['length']['value']} ({body['length']['kind']})",
         f"lim: {lim_text}",
         f"lim1: {body['lim1_status']['kind']}",
         f"local: {rep.local}",

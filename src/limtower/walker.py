@@ -310,83 +310,48 @@ def format_element(x: WalkerElement) -> str:
     return " ".join(parts)
 
 
-# A bracket body that holds no bracket is one match, so its + signs are not visited.
-_SPLIT_CHARS = re.compile(r"\[[^\[\]]*\]|[\[\]+-]")
-
-
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level +/- (bracket-aware: ordinals contain + and *)."""
-    terms = []
-    sign = 1
-    depth = 0
-    start = 0  # where the current term's text begins
-    seen_op = False  # one leading sign is fine, `a ++ b` is not
-    for m in _SPLIT_CHARS.finditer(text):
-        ch = m.group()
-        if len(ch) > 1:
-            continue  # a whole bracket body leaves the depth as it was
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced brackets")
-        elif not depth:
-            chunk = text[start : m.start()].strip()
-            if chunk:
-                terms.append((sign, chunk))
-                sign = 1
-            elif seen_op:
-                raise ValueError("consecutive +/- operators")
-            seen_op = True
-            if ch == "-":
-                sign = -sign
-            start = m.end()
-    if depth:
-        raise ValueError("unbalanced brackets")
-    last = text[start:].strip()
-    if last:
-        terms.append((sign, last))
-    elif seen_op:
-        raise ValueError("trailing +/- operator")
-    if not terms:
-        raise ValueError("no terms")
-    return terms
+# One term, [sign] [digits "*"] "e" "[" body "]", and the whitespace after it.
+_TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*\*\s*)?e\s*\[([^\[\]]*)\]\s*")
 
 
 def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     """Parse `3*e[0,1] + 1*e[w] - 2*e[w+1, w*2]`; `0` is the zero element.
 
-    A missing coefficient means 1, and a coefficient is ASCII digits.
-    Index entries use the ordinal syntax of the surrounding toolkit; each
-    distinct entry text is parsed once per call.  The result is raw (not
+    The grammar, with any whitespace allowed between two tokens but not
+    inside a digit run:
+
+        element := "0" | term (sign term)*
+        term    := [sign] [digits "*"] "e" "[" entry ("," entry)* "]"
+        sign    := "+" | "-"
+        digits  := a run of ASCII digits
+
+    A missing coefficient means 1.  An entry is ordinal text for
+    `parse_ordinal`, holding no bracket; each distinct entry text is parsed
+    once per call.  An error names a 1-based column: where no term matches,
+    or where the term holding a bad entry begins.  The result is raw (not
     normalized).
     """
-    text = text.strip()
-    if text == "0":
+    pos = len(text) - len(text.lstrip())
+    if text[pos:].rstrip() == "0":
         return ctx.zero()
     parsed: dict[str, OrdinalCNF] = {}  # entry text -> ordinal, for this call only
     terms = []
-    for sign, chunk in _split_terms(text):
-        chunk = chunk.replace(" ", "")
-        coeff_text, star_e, rest = chunk.partition("*e")
-        if star_e:
-            coeff_text = coeff_text.strip()
-            if not (coeff_text.isascii() and coeff_text.isdigit()):
-                raise ValueError(f"bad coefficient in term {chunk!r}")
-            coeff = int(coeff_text)
-        elif chunk.startswith("e"):
-            coeff, rest = 1, chunk[1:]
-        else:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        rest = rest.strip()
-        if not (rest.startswith("[") and rest.endswith("]")):
-            raise ValueError(f"expected e[...] in term {chunk!r}")
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None or (terms and not m[1]):
+            raise ValueError(f"expected a term at column {pos + 1}: {text[pos:]!r}")
         entries = []
-        for part in rest[1:-1].split(","):
-            e = parsed.get(part)
+        for part in m[3].split(","):
+            entry = part.strip()
+            e = parsed.get(entry)
             if e is None:
-                e = parsed[part] = parse_ordinal(part)
+                try:
+                    e = parsed[entry] = parse_ordinal(entry)
+                except ValueError as exc:
+                    raise ValueError(f"bad index entry {entry!r} in the term at column {pos + 1}: {exc}") from None
             entries.append(e)
-        terms.append((entries, sign * coeff))
-    return ctx.element(terms)
+        coeff = int(m[2]) if m[2] else 1
+        terms.append((entries, -coeff if m[1] == "-" else coeff))
+        pos = m.end()
+        if pos == len(text):
+            return ctx.element(terms)
