@@ -36,7 +36,6 @@ from .ordinals import (
     parse_ordinal,
 )
 from .towers import (
-    AnalysisReport,
     ConstantEndo,
     DEFAULT_HORIZON,
     Decomposition,

@@ -56,8 +56,7 @@ def _timing(args, started: float):
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
     tower = tower_from_json(_load_json_file(args.tower))
-    rep = analyze(tower, horizon=args.horizon)
-    body = analysis_report_to_json(rep)
+    body = analysis_report_to_json(analyze(tower, horizon=args.horizon))
     report = {
         "schema": SCHEMA_VERSION,
         "command": "analyze",
@@ -65,14 +64,14 @@ def _cmd_analyze(args) -> int:
         "result": body,
         "timing_ms": _timing(args, started),
     }
-    lim_text = body["lim_pretty"] if rep.lim is not None else "undetermined"
+    lim_text = body["lim_pretty"] if body["lim"] is not None else "undetermined"
     lines = [
         f"ml_status: {body['ml_status']['kind']}",
         f"length: {body['length']['value']} ({body['length']['kind']})",
         f"lim: {lim_text}",
         f"lim1: {body['lim1_status']['kind']}",
-        f"local: {rep.local}",
-        f"omega_complete: {rep.omega_complete}",
+        f"local: {body['local']}",
+        f"omega_complete: {body['omega_complete']}",
     ]
     _emit(report, args, lines)
     return 0

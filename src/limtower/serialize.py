@@ -26,12 +26,7 @@ from __future__ import annotations
 import json
 
 from .groups import FgAbGroup, GroupMap, multiplication_map
-from .towers import (
-    AnalysisReport,
-    ConstantEndo,
-    Tower,
-    ZeroTail,
-)
+from .towers import ConstantEndo, Filtration, Tower, ZeroTail
 
 SCHEMA_VERSION = "limtower-report/1"
 
@@ -209,27 +204,29 @@ def matrix_from_json(obj: dict) -> list[list[int]]:
     return mat
 
 
-def analysis_report_to_json(r: AnalysisReport) -> dict:
-    ml: dict = {"kind": r.ml_status.kind}
-    if r.ml_status.kind == "stabilized":
-        ml["stage"] = r.ml_status.stage
-    elif r.ml_status.kind == "never":
-        ml["witness"] = r.ml_status.witness
+def analysis_report_to_json(f: Filtration) -> dict:
+    ml: dict = {"kind": f.ml_status.kind}
+    if f.ml_status.kind == "stabilized":
+        ml["stage"] = f.ml_status.stage
+    elif f.ml_status.kind == "never":
+        ml["witness"] = f.ml_status.witness
     else:
-        ml["horizon"] = r.ml_status.horizon
-    lim1: dict = {"kind": r.lim1_status.kind}
-    if r.lim1_status.reason is not None:
-        lim1["reason"] = r.lim1_status.reason
-    if r.lim1_status.kind == "unknown":
-        lim1["horizon"] = r.horizon
+        ml["horizon"] = f.ml_status.horizon
+    lim1_status = f.lim1_status
+    lim1: dict = {"kind": lim1_status.kind}
+    if lim1_status.reason is not None:
+        lim1["reason"] = lim1_status.reason
+    if lim1_status.kind == "unknown":
+        lim1["horizon"] = f.horizon
+    omega_complete, omega_witness = f.omega_completion()
     return {
         "ml_status": ml,
-        "length": {"kind": r.length.kind, "value": str(r.length.value)},
-        "lim": group_to_json(r.lim) if r.lim is not None else None,
-        "lim_pretty": str(r.lim) if r.lim is not None else "unknown",
+        "length": {"kind": f.length.kind, "value": str(f.length.value)},
+        "lim": group_to_json(f.lim) if f.lim is not None else None,
+        "lim_pretty": str(f.lim) if f.lim is not None else "unknown",
         "lim1_status": lim1,
-        "local": r.local,
-        "omega_complete": r.omega_complete,
-        "omega_witness": r.omega_witness,
-        "horizon": r.horizon,
+        "local": f.is_local(),
+        "omega_complete": omega_complete,
+        "omega_witness": omega_witness,
+        "horizon": f.horizon,
     }

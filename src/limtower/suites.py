@@ -414,21 +414,20 @@ def _profile(tw: Tower) -> dict:
     """
     f = stabilize(tw)
     dec = f.decompose()
-    lim, lim1 = f.lim_lim1()
     omega_complete, omega_witness = f.omega_completion()
     return {
-        "ml": f.status.kind,
-        "stage": f.status.stage,
+        "ml": f.ml_status.kind,
+        "stage": f.ml_status.stage,
         "length": str(f.length),
-        "lim": str(lim),
-        "lim1": lim1.kind,
+        "lim": str(f.lim),
+        "lim1": f.lim1_status.kind,
         "local": f.is_local(),
         "omega_complete": omega_complete,
         "omega_witness": omega_witness,
         "E0": str(dec.epimorphic_part.group(0)),
         "L0": str(dec.limitless.tower.group(0)),
         "L_null": is_null_tower(dec.limitless.tower),
-        "lim_L": str(dec.limitless.lim_lim1()[0]),
+        "lim_L": str(dec.limitless.lim),
         "I2_0": str(f.stage(ord_from_int(2)).sub_at(0).as_group()),
         "epimorphic": is_epimorphic_tower(tw),
     }
@@ -532,7 +531,7 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
         stages = [filt.stage(ord_from_int(n)).subs for n in range(8)]
         for n in range(1, 7):
             quot, _ = quotient_tower(tw, stages[n])
-            lim_q, _ = stabilize(quot).lim_lim1()
+            lim_q = stabilize(quot).lim
             if lim_q is None or not lim_q.is_trivial():
                 return CheckResult(
                     "image-quotient-vanishing", False, f"tower {t}: lim S/I^{n} nonzero"
@@ -615,7 +614,7 @@ def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResul
     hand_l = null_tower([fg_group(2)])
     checks = [
         auto.epimorphic_part.group(0) == hand_e.group(0),
-        stabilize(auto.epimorphic_part).lim_lim1()[0] == stabilize(hand_e).lim_lim1()[0],
+        stabilize(auto.epimorphic_part).lim == stabilize(hand_e).lim,
         auto.limitless.tower.group(0) == hand_l.group(0),
         is_null_tower(auto.limitless.tower) and is_null_tower(hand_l),
     ]

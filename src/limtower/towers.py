@@ -10,6 +10,7 @@ decomposition are all computed exactly; anything outside the decidable
 cases is reported as Unknown or a partial stage, never silently guessed.
 `stabilize` runs one pass and returns a `Filtration`; each question above,
 `decompose()` included, reads it, and the decomposition carries L's own pass.
+`analyze` is `stabilize` plus the lim build and two consistency checks.
 
 The key finite-to-transfinite step: on a constant tail, one levelwise
 equality I^N = I^{N+1} of image stages is a certificate that the chain is
@@ -20,6 +21,7 @@ of the previous one under the same maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from math import gcd
 
@@ -523,14 +525,14 @@ class Filtration:
 
     tower: Tower
     horizon: int
-    status: MLStatus
+    ml_status: MLStatus
     length: LengthValue
     stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
     finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
     omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
 
     def __post_init__(self) -> None:
-        if self.status.kind == "stabilized" and self.stable_subs is None:
+        if self.ml_status.kind == "stabilized" and self.stable_subs is None:
             raise RuntimeError("a stabilized chain must carry its stable stage")
 
     def stage(self, beta: OrdinalCNF) -> FiltrationStage:
@@ -544,7 +546,7 @@ class Filtration:
         """
         n = beta.to_int() if beta.is_finite() else None
         if n is None:
-            if self.status.kind == "stabilized":
+            if self.ml_status.kind == "stabilized":
                 return FiltrationStage(beta, self.stable_subs, True, beta)
             if self.omega_chain is not None:
                 for j, subs in enumerate(self.omega_chain):
@@ -563,31 +565,21 @@ class Filtration:
         if n is not None:
             if n < len(chain):
                 return FiltrationStage(beta, chain[n], True, beta)
-            if self.status.kind == "stabilized":
+            if self.ml_status.kind == "stabilized":
                 return FiltrationStage(beta, self.stable_subs, True, beta)
         return FiltrationStage(beta, chain[-1], False, ord_from_int(len(chain) - 1))
 
-    def lim_lim1(self) -> tuple[FgAbGroup | None, Lim1Status]:
-        """The limit group and the derived-limit vanishing status.
+    @cached_property
+    def lim(self) -> FgAbGroup | None:
+        """The limit group, or None when no stable stage is known.
 
         lim S is the stable image at the tail level: the structure maps are
         surjective on the stable stage, and a surjective endomorphism of a
         finitely generated group is an isomorphism, so threads are exactly the
         stable-image elements.  Injectivity is still checked explicitly.
-
-        lim1 is Zero iff the chain stabilizes and NonZero iff it certifiably
-        never does: with countable levels, stabilization is equivalent to the
-        vanishing of the derived limit.
         """
-        if self.status.kind == "unknown":
-            return None, Lim1Status("unknown", f"no stabilization within horizon {self.horizon}")
-        lim1 = (
-            Lim1Status("zero")
-            if self.status.kind == "stabilized"
-            else Lim1Status("nonzero", self.status.witness)
-        )
         if self.stable_subs is None:
-            return None, lim1
+            return None
         c = self.tower.stable_index
         stable_tail = self.stable_subs[c]
         endo = _induced(stable_tail, stable_tail, self.tower.step_map(c))
@@ -595,7 +587,20 @@ class Filtration:
             raise RuntimeError("stable image is not epimorphic; stabilization logic is broken")
         if not kernel(endo).is_trivial():
             raise RuntimeError("surjective endomorphism with kernel on a f.g. group")
-        return stable_tail.as_group(), lim1
+        return stable_tail.as_group()
+
+    @property
+    def lim1_status(self) -> Lim1Status:
+        """Zero iff the chain stabilizes and NonZero iff it certifiably never does.
+
+        With countable levels, stabilization is equivalent to the vanishing
+        of the derived limit.
+        """
+        if self.ml_status.kind == "stabilized":
+            return Lim1Status("zero")
+        if self.ml_status.kind == "never":
+            return Lim1Status("nonzero", self.ml_status.witness)
+        return Lim1Status("unknown", f"no stabilization within horizon {self.horizon}")
 
     def is_local(self) -> bool | None:
         """True iff some finite image stage vanishes: lim = lim1 = 0.
@@ -604,9 +609,9 @@ class Filtration:
         (lim1 = 0) and the stable image is trivial (lim = 0), which together
         force I^N = 0 at a finite stage.
         """
-        if self.status.kind == "stabilized":
+        if self.ml_status.kind == "stabilized":
             return all(sub.is_trivial() for sub in self.stable_subs)
-        if self.status.kind == "never":
+        if self.ml_status.kind == "never":
             return False
         return None
 
@@ -619,11 +624,15 @@ class Filtration:
         limits no level hits: incomplete, witnessed by r.  Anything else is
         outside the decision class.
         """
-        if self.status.kind == "stabilized":
+        if self.ml_status.kind == "stabilized":
             return True, None
         if self.omega_chain is not None:  # a witnessed multiplication tail
             return False, self.tower.tail.group.free_rank
         return None, None
+
+    def shift_invariant_view(self) -> tuple:
+        """The answers a shift cannot change (stage numbers legitimately move)."""
+        return (self.ml_status.kind, self.lim, self.lim1_status.kind, self.is_local(), self.omega_completion()[0])
 
     def decompose(self) -> Decomposition:
         """Split S as E >-> S ->> L with E epimorphic and lim L = 0.
@@ -640,8 +649,7 @@ class Filtration:
         if not is_epimorphic_tower(epi):
             raise RuntimeError("stable image tower must be epimorphic")
         limitless = stabilize(loc, self.horizon)
-        lim_l, _ = limitless.lim_lim1()
-        if lim_l is None or not lim_l.is_trivial():
+        if limitless.lim is None or not limitless.lim.is_trivial():
             raise RuntimeError("quotient by the stable image must have trivial limit")
         return Decomposition(epi, limitless, include, project)
 
@@ -655,10 +663,9 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
 
     >>> from limtower.groups import fg_group
     >>> f = stabilize(multiplication_tower(fg_group(6), 2))
-    >>> str(f.status), str(f.length)
+    >>> str(f.ml_status), str(f.length)
     ('Stabilized(1)', '1')
-    >>> lim, lim1 = f.lim_lim1()
-    >>> str(lim), str(lim1)
+    >>> str(f.lim), str(f.lim1_status)
     ('Z/3', 'Zero')
     """
     if horizon < 1:
@@ -851,49 +858,16 @@ def window_difference_map(s: Tower, w: int) -> GroupMap:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate report
+# Analysis
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    ml_status: MLStatus
-    length: LengthValue
-    lim: FgAbGroup | None
-    lim1_status: Lim1Status
-    local: bool | None
-    omega_complete: bool | None
-    omega_witness: int | None
-    horizon: int
-
-    def shift_invariant_view(self):
-        """The fields a shift cannot change (stage numbers legitimately move)."""
-        return (
-            self.ml_status.kind,
-            self.lim,
-            self.lim1_status.kind,
-            self.local,
-            self.omega_complete,
-        )
-
-
-def analyze(s: Tower, horizon: int = DEFAULT_HORIZON) -> AnalysisReport:
-    """Run the whole battery once, sharing one stabilization pass."""
+def analyze(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
+    """Stabilize once, build lim and check that the answers agree; returns the pass."""
     f = stabilize(s, horizon)
-    lim, lim1 = f.lim_lim1()
-    complete, witness = f.omega_completion()
-    report = AnalysisReport(
-        ml_status=f.status,
-        length=f.length,
-        lim=lim,
-        lim1_status=lim1,
-        local=f.is_local(),
-        omega_complete=complete,
-        omega_witness=witness,
-        horizon=horizon,
-    )
-    if report.ml_status.kind == "stabilized" and report.lim1_status.kind != "zero":
+    lim = f.lim
+    if f.ml_status.kind == "stabilized" and f.lim1_status.kind != "zero":
         raise RuntimeError("stabilized chain must have vanishing derived limit")
-    if report.local is True:
-        if report.lim is None or not report.lim.is_trivial() or report.lim1_status.kind != "zero":
+    if f.is_local() is True:
+        if lim is None or not lim.is_trivial() or f.lim1_status.kind != "zero":
             raise RuntimeError("local tower must have lim = lim1 = 0")
-    return report
+    return f

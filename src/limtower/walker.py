@@ -28,6 +28,7 @@ height of zero is alpha by convention (p^alpha D'_alpha = 0).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -328,17 +329,17 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     A missing coefficient means 1.  An entry is ordinal text for
     `parse_ordinal`, holding no bracket; each distinct entry text is parsed
     once per call.  An error names a 1-based column: where no term matches,
-    or where the term holding a bad entry begins.  The result is raw (not
-    normalized).
+    or where the term holding a bad entry, a bad index or an over-long
+    coefficient begins.  The result is raw (not normalized).
     """
     pos = len(text) - len(text.lstrip())
     if text[pos:].rstrip() == "0":
         return ctx.zero()
     parsed: dict[str, OrdinalCNF] = {}  # entry text -> ordinal, for this call only
-    terms = []
+    acc: dict[DegLexIndex, int] = {}
     while True:
         m = _TERM.match(text, pos)
-        if m is None or (terms and not m[1]):
+        if m is None or (acc and not m[1]):
             raise ValueError(f"expected a term at column {pos + 1}: {text[pos:]!r}")
         entries = []
         for part in m[3].split(","):
@@ -350,8 +351,18 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
                 except ValueError as exc:
                     raise ValueError(f"bad index entry {entry!r} in the term at column {pos + 1}: {exc}") from None
             entries.append(e)
-        coeff = int(m[2]) if m[2] else 1
-        terms.append((entries, -coeff if m[1] == "-" else coeff))
+        try:
+            idx = ctx.index(entries)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in the term at column {pos + 1}") from None
+        try:
+            coeff = int(m[2]) if m[2] else 1
+        except ValueError:  # past Python's int <-> str digit limit
+            raise ValueError(
+                f"coefficient of {len(m[2])} digits in the term at column {pos + 1}"
+                f" is over the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
+        acc[idx] = acc.get(idx, 0) + (-coeff if m[1] == "-" else coeff)
         pos = m.end()
         if pos == len(text):
-            return ctx.element(terms)
+            return _from_dict(ctx, acc)

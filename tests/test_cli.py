@@ -294,10 +294,16 @@ class TestCli:
             # deleting the space would read 12 and 34: whitespace may not split a digit run
             (["normalize", "e[1 2]"], "entry '1 2' in the term at column 1: trailing tokens in ordinal: ['2']"),
             (["normalize", "3 4*e[0]"], "term at column 1: '3 4*e[0]'"),
+            # index checks and the digit limit name the column of the term
+            (["normalize", "e[1, 0]"], "index entries must strictly increase in the term at column 1"),
+            (["height", "e[0] - e[w, 1]"], "index entries must strictly increase in the term at column 6"),
+            (["normalize", "e[1] + 2*e[3, w]"], "index entry w is not below alpha = w in the term at column 6"),
+            (["normalize", "1" * 5000 + "*e[0]"], "coefficient of 5000 digits in the term at column 1 is over the limit"),
         ],
         ids=["underscore-coefficient", "arabic-indic-coefficient", "arabic-indic-entry", "mixed-digits-entry",
              "arabic-indic-stage", "arabic-indic-p", "underscore-p", "product-coefficient", "split-entry-digits",
-             "split-coefficient-digits"],
+             "split-coefficient-digits", "decreasing-index", "decreasing-later-index", "index-past-alpha",
+             "over-long-coefficient"],
     )
     def test_walker_bad_input_exit_two(self, capsys, argv, named):
         if "--p" not in argv:
@@ -308,7 +314,7 @@ class TestCli:
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err
-        assert named in err and "invalid literal" not in err
+        assert named in err and "invalid literal" not in err and "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -485,7 +491,7 @@ README_WALKER_COMMANDS = (
     ["walker", "height", "2*e[0, w]", "--p", "2", "--alpha", "w*2"],
     ["walker", "ulm-probe", "0", "5", "w", "w+1", "--p", "3", "--alpha", "w*2+3"],
 )
-RECORDED_WALKER_DIGEST = "84e12c1a547133f467422fd0bdeb9e090b9accb00c53fbd930be1502caf88090"
+RECORDED_WALKER_DIGEST = "18f1bfcc9e8d50efdfc29dfeafb0a5d97a4411bd8a83cb75ff4bd86ef8495b0d"
 
 
 def test_walker_output_matches_the_recorded_digest(monkeypatch, capsys):
@@ -500,7 +506,11 @@ def test_walker_output_matches_the_recorded_digest(monkeypatch, capsys):
     recorded again when one term pattern replaced the term splitter and
     `valid_element_text` began to draw increasing entries: rejected texts
     now name a column, and more texts parse.  The benchmark texts and the
-    README commands print the same bytes as before that change.
+    README commands print the same bytes as before that change.  It was
+    recorded once more when index errors began to name the column of their
+    term: with each ` in the term at column N` removed from the 158
+    `not below alpha` lines, the lines hash to the previous digest,
+    84e12c1a547133f467422fd0bdeb9e090b9accb00c53fbd930be1502caf88090.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads

@@ -23,6 +23,7 @@ from limtower.groups import (
     zero_map,
 )
 from limtower.ordinals import OMEGA, ord_compare, ord_from_int, parse_ordinal
+from limtower.serialize import analysis_report_to_json
 from limtower.towers import (
     ConstantEndo,
     LengthValue,
@@ -219,10 +220,10 @@ def witnessed_tail():
 class TestStabilizationPass:
     def test_repeat_at_exactly_the_horizon(self):
         # the truncation at 7 repeats at stage 8; the one at 8 would repeat at 9
-        assert str(stabilize(truncated_constant_tower(fg_group(2), 7), 8).status) == "Stabilized(8)"
+        assert str(stabilize(truncated_constant_tower(fg_group(2), 7), 8).ml_status) == "Stabilized(8)"
         t = truncated_constant_tower(fg_group(2), 8)
         filt = stabilize(t, 8)
-        assert str(filt.status) == "Unknown(horizon=8)"
+        assert str(filt.ml_status) == "Unknown(horizon=8)"
         st = filt.stage(ord_from_int(20))
         assert not st.exact
         assert st.computed_to == ord_from_int(9)
@@ -315,7 +316,7 @@ class TestStabilizationPass:
         # the pass steps the 100 nonzero levels once, then only the level that moved;
         # asking for its stages makes no further step
         assert len(calls) == pass_steps == 199
-        assert str(filt.status) == "Stabilized(100)"
+        assert str(filt.ml_status) == "Stabilized(100)"
         assert all(st == iterate_image(t, n) for n, st in enumerate(stages))
 
     def test_trivial_level_gets_no_image_step(self, monkeypatch):
@@ -438,7 +439,7 @@ class TestStatuses:
             rep = analyze(t)
             assert rep.ml_status.kind == ml
             assert rep.lim1_status.kind == l1
-            assert rep.local is loc
+            assert rep.is_local() is loc
             assert str(rep.length.value) == ln
 
     def test_lim_values(self):
@@ -466,14 +467,14 @@ class TestStatuses:
         rep = analyze(t, horizon=5)
         assert rep.ml_status.kind == "unknown"
         assert rep.lim1_status.kind == "unknown"
-        assert rep.local is None
+        assert rep.is_local() is None
         rep_full = analyze(t, horizon=64)
         assert rep_full.ml_status.kind == "stabilized"
         assert rep_full.ml_status.stage == 40
 
     def test_ml_check_matches_analyze(self):
         for t in (mult_tower(9, 3), multiplication_tower(fg_group(0), 3)):
-            assert stabilize(t).status.kind == analyze(t).ml_status.kind
+            assert stabilize(t).ml_status.kind == analyze(t).ml_status.kind
 
     def test_omega_completion(self):
         done, wit = stabilize(mult_tower(8, 2)).omega_completion()
@@ -483,7 +484,7 @@ class TestStatuses:
         # witnessed but not a multiplication, and undecided at the horizon: outside the class
         assert stabilize(witnessed_tail()).omega_completion() == (None, None)
         truncated = stabilize(truncated_constant_tower(fg_group(2), 99), horizon=8)
-        assert str(truncated.status) == "Unknown(horizon=8)"
+        assert str(truncated.ml_status) == "Unknown(horizon=8)"
         assert truncated.omega_completion() == (None, None)
 
 
@@ -492,9 +493,9 @@ class TestLimits:
         rng = random.Random(43)
         for _ in range(60):
             t = random_finite_tower(rng, max_levels=4, max_order=48)
-            lim, l1 = stabilize(t).lim_lim1()
-            assert l1.kind == "zero"
-            assert lim == thread_limit_oracle(t)
+            f = stabilize(t)
+            assert f.lim1_status.kind == "zero"
+            assert f.lim == thread_limit_oracle(t)
 
     def test_epimorphic_with_zero_lim_is_null(self):
         # on an epimorphic tower the limit surjects onto every level,
@@ -503,8 +504,7 @@ class TestLimits:
         for _ in range(40):
             t = random_surjective_tower(rng)
             assert is_epimorphic_tower(t)
-            lim, _ = stabilize(t).lim_lim1()
-            if lim.is_trivial():
+            if stabilize(t).lim.is_trivial():
                 assert all(t.group(i).is_trivial() for i in range(t.stable_index + 1))
 
     def test_constant_tower_limit(self):
@@ -527,8 +527,7 @@ class TestDecomposition:
         # stable stage is trivial, so E is the zero tower and L is everything
         assert d.epimorphic_part.group(0).is_trivial()
         assert d.limitless.tower.group(0) == fg_group(4, 0)
-        lim_l, _ = d.limitless.lim_lim1()
-        assert lim_l.is_trivial()
+        assert d.limitless.lim.is_trivial()
 
     def test_undecidable_raises(self):
         z2 = fg_group(0, 0)
@@ -576,7 +575,7 @@ class TestOnePassPerTower:
         d = filt.decompose()
         assert len(passes) == 1
         assert d.limitless.horizon == 5
-        assert str(d.limitless.status) == "Stabilized(1)"
+        assert str(d.limitless.ml_status) == "Stabilized(1)"
 
     def test_suites_stabilize_each_tower_and_limitless_part_once(self, passes):
         # paper examples: 10 rows x (the tower + L), then 10 corpus towers x 3 shifts
@@ -585,6 +584,37 @@ class TestOnePassPerTower:
         passes.clear()
         assert all(c.passed for c in property_suite(7))
         assert len(passes) == 964
+
+
+class TestAnalyzeReturnsThePass:
+    def test_analyze_answers_as_stabilize(self):
+        rng = random.Random(61)
+        makers = (
+            random_finite_tower, random_surjective_tower, random_local_tower,
+            random_decidable_tower, random_general_tail_tower,
+        )
+        towers = [t for _, t in corpus_towers()] + [make(rng) for make in makers for _ in range(8)]
+        kinds = set()
+        for t in towers:
+            for horizon in (2, 64):
+                f, rep = stabilize(t, horizon), analyze(t, horizon)
+                assert (rep.ml_status, rep.length, rep.stable_subs, rep.horizon) == (
+                    f.ml_status, f.length, f.stable_subs, f.horizon
+                )
+                kinds.add(rep.ml_status.kind)
+        assert kinds == {"stabilized", "never", "unknown"}
+
+    def test_lim_is_built_once_per_report(self, monkeypatch):
+        calls = []
+        induced = towers_mod._induced
+        monkeypatch.setattr(towers_mod, "_induced", lambda *args: calls.append(1) or induced(*args))
+        kinds = set()
+        for _, t in corpus_towers():
+            calls.clear()
+            body = analysis_report_to_json(analyze(t))
+            assert len(calls) == (body["lim"] is not None)
+            kinds.add(body["ml_status"]["kind"])
+        assert kinds == {"stabilized", "never"}
 
 
 class TestLocalityAndExtensions:

@@ -55,14 +55,15 @@ class TestContext:
             (["0", "w+1", "w^w"], "w^(w)"),
         ):
             message = f"index entry {first} is not below alpha = w*2"
-            for attempt in (
-                lambda: ctx.basis([o(t) for t in entries]),
-                lambda: ctx.index(DegLexIndex(tuple(o(t) for t in entries))),
-                lambda: parse_element(ctx, "e[0] + 3*e[" + ", ".join(entries) + "]"),
+            for attempt, where in (
+                (lambda: ctx.basis([o(t) for t in entries]), ""),
+                (lambda: ctx.index(DegLexIndex(tuple(o(t) for t in entries))), ""),
+                # the parser adds the column of the term, whose sign is the sixth character
+                (lambda: parse_element(ctx, "e[0] + 3*e[" + ", ".join(entries) + "]"), " in the term at column 6"),
             ):
                 with pytest.raises(ValueError) as exc:
                     attempt()
-                assert str(exc.value) == message
+                assert str(exc.value) == message + where
         assert format_element(ctx.basis([o("0"), o("w+1"), o("w+5")])) == "1*e[0, w + 1, w + 5]"
 
 
