@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 Matrix = list[list[int]]
@@ -313,6 +313,21 @@ def row_hermite_basis(rows: list[list[int]] | list[Vector], width: int) -> tuple
             if q:
                 basis[k2] = [x - q * y for x, y in zip(basis[k2], basis[k])]
     return tuple(tuple(r) for r in basis)
+
+
+def pivot_product(basis: tuple[Vector, ...]) -> int:
+    """Product of the pivots of an echelon basis with positive pivots.
+
+    The lattice projects one-to-one onto its pivot columns P, and the
+    product is the index of that projection in Z^P.  Two lattices with the
+    same rational span share P, so when one holds the other, the ratio of
+    their products is the index between them; a full-rank lattice has its
+    index in Z^n.  The empty basis gives 1.
+
+    >>> pivot_product(((2, 1, 5), (0, 0, 3))), pivot_product(())
+    (6, 1)
+    """
+    return prod(next(filter(None, row)) for row in basis)
 
 
 def lattice_solve(basis: tuple[Vector, ...], vec: Vector | list[int]) -> list[int] | None:
@@ -682,8 +697,8 @@ class Subgroup:
         return all(self.contains(row) for row in other.basis)
 
     def is_full(self) -> bool:
-        n = self.ambient.ngens
-        return all(self.contains(unit_vector(n, i)) for i in range(n))
+        # index 1 in Z^n: n rows whose pivots are all 1, so the basis is the identity
+        return len(self.basis) == self.ambient.ngens and pivot_product(self.basis) == 1
 
     def is_trivial(self) -> bool:
         return self._trivial

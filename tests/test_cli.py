@@ -249,6 +249,24 @@ class TestCli:
         assert field in err and err.rstrip().endswith("...")
         assert len(err.encode()) < 300
 
+    def test_analyze_writes_d_past_the_str_digit_limit(self, tmp_path, capsys):
+        """diag(a, a + 2) with a of 4000 sevens: d = a(a + 2) has 8000 digits, over `str`'s 4300."""
+        from decimal import Decimal
+
+        a = int("7" * 4000)
+        z2 = {"free_rank": 2, "invariant_factors": []}
+        endo = {"domain": z2, "codomain": z2, "matrix": [[a, 0], [0, a + 2]]}
+        path, out = tmp_path / "diag.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"tail": {"kind": "constant_endo", "group": z2, "endo": endo}}))
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        d = str(Decimal(a * (a + 2)))  # Decimal has no digit limit
+        assert len(d) == 8000
+        result = json.loads(out.read_text())["result"]
+        want = f"image lattice covolume grows by {d} per step on the eventual free part"
+        assert result["ml_status"]["witness"] == result["lim1_status"]["reason"] == want
+        assert main(["analyze", str(path)]) == 0
+        assert "ml_status: never" in capsys.readouterr().out
+
     def test_snf(self, matrix_file, capsys):
         assert main(["snf", matrix_file, "--json"]) == 0
         out = capsys.readouterr().out

@@ -384,6 +384,30 @@ class TestTrivialityFastPath:
         assert {p for p, t in seen if not t} == paths - {"zero", "image under zero"}
 
 
+class TestIsFull:
+    def test_matches_containing_every_unit_vector(self):
+        """`is_full` reads the Hermite pivots; it agrees with one `contains` per unit vector."""
+        rng = random.Random(4242)
+        subs = list(TestTrivialityFastPath()._subgroups(rng))
+        for g in TestTrivialityFastPath.AMBIENTS:
+            for _ in range(40):
+                # n to n + 2 small generators often span a free ambient group, not always
+                k = g.ngens + rng.randint(0, 2)
+                subs.append(Subgroup(g, [tuple(rng.randint(-2, 2) for _ in range(g.ngens)) for _ in range(k)]))
+        outcomes = {}
+        for sub in subs:
+            n = sub.ambient.ngens
+            want = all(sub.contains(tuple(int(i == j) for j in range(n))) for i in range(n))
+            assert sub.is_full() == want, (sub.ambient, sub.generators)
+            kind = "zero" if n == 0 else "free" if not sub.ambient.invariant_factors else (
+                "torsion" if not sub.ambient.free_rank else "mixed")
+            outcomes.setdefault(kind, []).append(want)
+        # every kind of ambient group is seen, and each answer occurs often where it can
+        assert set(outcomes) == {"zero", "free", "torsion", "mixed"} and all(outcomes["zero"])
+        for kind in ("free", "torsion", "mixed"):
+            assert outcomes[kind].count(True) >= 40 and outcomes[kind].count(False) >= 40, kind
+
+
 class TestSums:
     def test_direct_sum_projections(self):
         a, b = fg_group(2), fg_group(3)

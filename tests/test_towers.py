@@ -8,6 +8,7 @@ from itertools import islice
 
 import pytest
 
+from limtower import groups as groups_mod
 from limtower import towers as towers_mod
 from limtower.groups import (
     FgAbGroup,
@@ -17,9 +18,13 @@ from limtower.groups import (
     abs_det,
     fg_group,
     identity_map,
+    lattice_solve,
     mat_mul,
+    mat_vec,
     multiplication_map,
     multiplier_of,
+    row_hermite_basis,
+    unit_vector,
     zero_map,
 )
 from limtower.ordinals import OMEGA, ord_compare, ord_from_int, parse_ordinal
@@ -27,6 +32,7 @@ from limtower.serialize import analysis_report_to_json
 from limtower.towers import (
     ConstantEndo,
     LengthValue,
+    TailSpec,
     Tower,
     ZeroTail,
     analyze,
@@ -48,7 +54,7 @@ from limtower.towers import (
     window_difference_map,
     window_shift_map,
 )
-from limtower.towers import _full_stage, _image_stages
+from limtower.towers import _decimal, _full_stage, _image_stages, _tail_never_witness
 from limtower.suites import (
     behind_finite_front,
     corpus_towers,
@@ -57,6 +63,7 @@ from limtower.suites import (
     random_decidable_tower,
     random_finite_group,
     random_finite_tower,
+    random_finite_group,
     random_general_tail_tower,
     random_hom,
     random_local_tower,
@@ -424,6 +431,146 @@ class TestStabilizationPass:
         del t
         gc.collect()
         assert ref() is None
+
+
+def reference_tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
+    """A certificate that the tail's image chain strictly decreases forever.
+
+    Let e-bar be the induced endomorphism of the free quotient and V the
+    eventual rational image of e-bar.  Each application of e multiplies the
+    covolume of the image lattice inside V by |det(e-bar on V)|; a
+    descending chain of same-rank lattices with constant covolume must be
+    constant, so |det| = 1 forces stabilization and |det| >= 2 forbids it.
+
+    `m` is the tail's multiplier (`multiplier_of` of its map), or None.
+    The ranks of e-bar^j Z^r fall strictly until they stop, after at most r
+    steps; at that j, span(e-bar^j Z^r) = V and e-bar^j Z^r is e-bar-invariant,
+    so e-bar has integer coordinates on its Hermite basis B, with determinant
+    det(e-bar on V).  A nonsingular e-bar stops at once, with B = Z^r: the
+    images are the columns of e-bar, and each is its own coordinate row.
+    """
+    if not isinstance(tail, ConstantEndo):
+        return None
+    t = tail.group
+    r = t.free_rank
+    if r == 0:
+        return None
+    if m is not None:
+        if abs(m) >= 2:
+            return f"free summand Z^{r} with multiplication by {m}"
+        return None
+    k = len(t.invariant_factors)
+    ebar = [row[k:] for row in tail.endo.matrix[k:]]
+    basis = [unit_vector(r, i) for i in range(r)]
+    images = list(zip(*ebar))  # e-bar e_i is column i of e-bar
+    while True:
+        nxt = row_hermite_basis(images, r)
+        if not nxt:
+            return None  # nilpotent free action: chain bottoms out
+        if len(nxt) == len(basis):
+            break
+        basis = nxt
+        images = [mat_vec(ebar, b) for b in basis]
+    c_rows = [lattice_solve(basis, w) for w in images]
+    if None in c_rows:
+        raise RuntimeError("tail map does not preserve its eventual image lattice")
+    d = abs_det(c_rows)
+    if d == 0:
+        raise RuntimeError("tail map is singular on its eventual rational image")
+    if d >= 2:
+        return f"image lattice covolume grows by {d} per step on the eventual free part"
+    return None
+
+
+def tail_on(rng, torsion, free):
+    """The tail T + Z^r under the free block `free`, with random rows into T."""
+    k = len(torsion.invariant_factors)
+    g = FgAbGroup(len(free), torsion.invariant_factors)
+    rows = random_hom(rng, g, torsion).matrix + tuple((0,) * k + tuple(row) for row in free)
+    return ConstantEndo(g, GroupMap(g, g, rows))
+
+
+class TestWitnessFromPivots:
+    """The witness reads d off the Hermite pivots of e-bar L and L."""
+
+    def test_same_text_as_the_bareiss_witness(self):
+        rng = random.Random(2222)
+        seen = {}
+        for r in range(1, 9):
+            for j in range(12):
+                torsion = TRIVIAL_GROUP
+                while j % 2 and torsion.is_trivial():
+                    torsion = random_finite_group(rng, 16)
+                while not abs_det(nonsingular := [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]):
+                    pass
+                index = rng.randint(1, max(1, r - 1))
+                conj = (lambda m: conjugated(rng, m)) if r > 1 else (lambda m: m)
+                blocks = {
+                    "nonsingular": nonsingular,
+                    "singular": conj(jordan_beside(rng, index, r - index)),
+                    "unimodular": conj(triangular(rng, [rng.choice((1, -1)) for _ in range(r)])),
+                    "nilpotent": conj(triangular(rng, [0] * r)),
+                    "multiplication": [[rng.choice((-2, 3)) * (i == j) for j in range(r)] for i in range(r)],
+                }
+                for kind, free in blocks.items():
+                    tail = tail_on(rng, torsion, free)
+                    m = multiplier_of(tail.endo)
+                    want = reference_tail_never_witness(tail, m)
+                    assert _tail_never_witness(tail, m) == want, (kind, tail)
+                    seen.setdefault((kind, want is None, torsion.is_trivial()), 0)
+                    seen[(kind, want is None, torsion.is_trivial())] += 1
+        # beside T = 0 and T != 0: singular tails witnessed and not, nonsingular ones witnessed
+        for trivial in (True, False):
+            assert seen.get(("nonsingular", False, trivial), 0) >= 30
+            assert seen.get(("singular", False, trivial), 0) >= 20 and seen.get(("singular", True, trivial), 0) >= 5
+            assert seen.get(("unimodular", True, trivial), 0) >= 20 and ("unimodular", False, trivial) not in seen
+            assert seen.get(("nilpotent", True, trivial), 0) >= 20 and ("nilpotent", False, trivial) not in seen
+
+    def test_nonsingular_takes_one_hermite_basis_and_nothing_else(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the witness needs no solve and no determinant")
+
+        bases = []
+        hermite = towers_mod.row_hermite_basis
+        monkeypatch.setattr(towers_mod, "row_hermite_basis", lambda rows, w: bases.append(hermite(rows, w)) or bases[-1])
+        for module in (towers_mod, groups_mod):
+            monkeypatch.setattr(module, "lattice_solve", refuse)
+            monkeypatch.setattr(module, "abs_det", refuse, raising=False)
+        rng = random.Random(61)
+        for r in range(1, 9):
+            while abs_det(free := [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]) < 2:
+                pass
+            d = abs_det(free)
+            bases.clear()
+            witness = _tail_never_witness(free_tail(free).tail, None)
+            assert witness == f"image lattice covolume grows by {d} per step on the eventual free part"
+            assert len(bases) == 1
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            ((1, 1, 0), (0, 4, 0)),  # echelon, index 2 over L, but (1, 1, 0) is outside L
+            ((1, 2, 0), (1, 0, 0)),  # inside L, but its pivots give the ratio 1/2
+        ],
+    )
+    def test_wrong_hermite_basis_of_the_image_raises(self, monkeypatch, wrong):
+        # diag(1, 2, 0): L = <(1, 0, 0), (0, 2, 0)> and e-bar L = <(1, 0, 0), (0, 4, 0)>, so d = 2
+        tail = free_tail([[1, 0, 0], [0, 2, 0], [0, 0, 0]]).tail
+        assert _tail_never_witness(tail, None) == "image lattice covolume grows by 2 per step on the eventual free part"
+        calls = []
+        hermite = towers_mod.row_hermite_basis
+        monkeypatch.setattr(
+            towers_mod, "row_hermite_basis", lambda rows, w: calls.append(1) or (wrong if len(calls) == 2 else hermite(rows, w))
+        )
+        with pytest.raises(RuntimeError, match="does not preserve its eventual image lattice"):
+            _tail_never_witness(tail, None)
+        assert len(calls) == 2
+
+    def test_decimal_writes_past_the_str_digit_limit(self):
+        decimal = pytest.importorskip("decimal")
+        for n in (0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(3**9000), 10**5000 * 7 + 10**3):
+            assert _decimal(n) == str(decimal.Decimal(n)), n
+        assert _decimal(12345678901234567890) == "12345678901234567890"
 
 
 class TestStatuses:
