@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -20,11 +21,35 @@ from .serialize import (
     SCHEMA_VERSION,
     analysis_report_to_json,
     matrix_from_json,
+    parse_int,
     tower_from_json,
 )
 from .suites import run_suite
-from .towers import DEFAULT_HORIZON, analyze
+from .towers import DEFAULT_HORIZON, _decimal, analyze
 from . import walker as wk
+
+
+def _dumps(report: dict) -> str:
+    """The report as indented JSON, with every integer in full.
+
+    `json` writes an int with `repr`, which refuses one past the digit
+    limit, so each int goes in as a NUL-tagged string, which no argument
+    or library text holds, and `_decimal` writes it in that string's place.
+    """
+    ints: list[int] = []
+
+    def swap(v):
+        if isinstance(v, dict):
+            return {k: swap(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [swap(x) for x in v]
+        if type(v) is int:  # not a bool
+            ints.append(v)
+            return f"\0{len(ints) - 1}"
+        return v
+
+    text = json.dumps(swap(report), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: _decimal(ints[int(m[1])]), text)
 
 
 def _emit(report: dict, args, human_lines: list[str]) -> None:
@@ -32,7 +57,7 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
         print(line)
     if args.json is None:
         return
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dumps(report)
     if args.json == "-":
         print(text)
     else:
@@ -43,7 +68,7 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
 def _load_json_file(path: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except RecursionError:
             # the decoder recurses once per open [ or {
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
@@ -174,7 +199,7 @@ def _cmd_snf(args) -> int:
         },
         "timing_ms": _timing(args, started),
     }
-    _emit(report, args, [f"diagonal: {diag}", f"certified: {certified}"])
+    _emit(report, args, [f"diagonal: [{', '.join(map(_decimal, diag))}]", f"certified: {certified}"])
     return 0 if certified else 1
 
 

@@ -18,12 +18,14 @@ are exact: parsing the printed form reproduces an equal tower.
 Parsing is strict: every count, factor, entry and multiplier must be a
 JSON integer (not a float and not a boolean), and every rejection is a
 ValueError that names the offending field by its JSON path, including a
-missing key and a group or map that `FgAbGroup` or `GroupMap` rejects.
+missing key, a group or map that `FgAbGroup` or `GroupMap` rejects, and an
+integer literal too long for `int` (read with `parse_int` as the hook).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .groups import FgAbGroup, GroupMap, multiplication_map
 from .towers import ConstantEndo, Filtration, Tower, ZeroTail
@@ -35,7 +37,23 @@ def group_to_json(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "invariant_factors": list(g.invariant_factors)}
 
 
+class LongLiteral(str):
+    """The text of a JSON integer literal past `int`'s digit limit."""
+
+
+def parse_int(text: str) -> int | LongLiteral:
+    """`json.load`'s parse_int hook: the literal that `int` refuses is kept for a validator to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return LongLiteral(text)
+
+
 def _bad(path: str, want: str, value) -> ValueError:
+    if isinstance(value, LongLiteral):
+        digits = len(value.lstrip("-"))
+        limit = sys.get_int_max_str_digits()
+        return ValueError(f"field '{path}' holds an integer of {digits} digits, over the limit of {limit} digits")
     got = json.dumps(value)
     if len(got) > 60:  # a rejected value can be megabytes long
         got = got[:60] + "..."

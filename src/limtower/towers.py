@@ -8,8 +8,9 @@ image filtration, its length, Mittag-Leffler detection, lim and the
 lim1 vanishing status, omega-completion, locality, and the epimorphic/local
 decomposition are all computed exactly; anything outside the decidable
 cases is reported as Unknown or a partial stage, never silently guessed.
-`stabilize` runs one pass and returns a `Filtration`; each question above,
-`decompose()` included, reads it, and the decomposition carries L's own pass.
+`stabilize` runs one pass of image steps and keeps the stages it built as
+one chain in a `Filtration`; each question above, `decompose()` included,
+reads it, and the decomposition carries L's own pass.
 `analyze` is `stabilize` plus the lim build and the locality check.
 
 The key finite-to-transfinite step: on a constant tail, one levelwise
@@ -484,15 +485,14 @@ def _omega_stage_multiplication(s: Tower, m: int) -> tuple[Subgroup, ...]:
     """Levelwise intersection of the finite stages for a multiplication tail.
 
     At level i the chain is eventually m^k * G_i with G_i the image of the
-    window map from the stable level, and the intersection of that chain is
-    the prime-to-m torsion of G_i.
+    window map from the stable level c, G_c = S_c and G_i = f_i(G_{i+1}), and
+    the intersection of that chain is the prime-to-m torsion of G_i.
     """
     c = s.stable_index
-    out = []
-    for i in range(c + 1):
-        window_image = image(s.window_map(i, c - i))
-        out.append(_prime_to_m_part(window_image, m))
-    return tuple(out)
+    window = [Subgroup.full(s.group(c))]
+    for i in reversed(range(c)):
+        window.append(image_of_subgroup(s.step_map(i), window[-1]))
+    return tuple(_prime_to_m_part(g, m) for g in reversed(window))
 
 
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
@@ -539,52 +539,47 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class Filtration:
-    """The image filtration of one tower, as far as one pass decides it."""
+    """The image filtration of one tower, as far as one pass decides it.
+
+    `chain` holds the stages the pass built: 0..n for a finite chain (n the
+    repeat, or horizon + 1 when undecided), w, w+1, ... for a witnessed
+    multiplication tail, and () for any other witnessed tail.
+    """
 
     tower: Tower
     horizon: int
     ml_status: MLStatus
     length: LengthValue
-    stable_subs: tuple[Subgroup, ...] | None  # stage len(S); None when undecided
-    finite_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages 0..deepest; None when witnessed
-    omega_chain: tuple[tuple[Subgroup, ...], ...] | None  # stages w, w+1, ... for mult tails
+    chain: tuple[tuple[Subgroup, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.ml_status.kind == "stabilized" and self.stable_subs is None:
-            raise RuntimeError("a stabilized chain must carry its stable stage")
+    @property
+    def stable_subs(self) -> tuple[Subgroup, ...] | None:
+        """Stage len(S), the last one the pass built; None when undecided."""
+        return self.chain[-1] if self.length.kind == "exact" else None
 
     def stage(self, beta: OrdinalCNF) -> FiltrationStage:
-        """I^beta(S); exact whenever the stage is decidable, else partial.
+        """I^beta(S), read off the chain; exact whenever the stage is decidable.
 
-        Finite stages are always exact.  At and past omega: exact when the
-        finite chain certified stabilization (the stage equals the stable one)
-        or when the tail is multiplication by m (closed form: the intersection
-        is the prime-to-m torsion of the window images, and finitely many more
-        image steps reach the stable stage).
+        A stage the chain holds is exact, and past its end so is every stage
+        of a stabilized chain or of a multiplication tail's omega stages.  A
+        witnessed tail with no chain builds finite stages up to the horizon.
         """
         n = beta.to_int() if beta.is_finite() else None
-        if n is None:
-            if self.ml_status.kind == "stabilized":
-                return FiltrationStage(beta, self.stable_subs, True, beta)
-            if self.omega_chain is not None:
-                for j, subs in enumerate(self.omega_chain):
-                    if beta == ord_add(OMEGA, ord_from_int(j)):
-                        return FiltrationStage(beta, subs, True, beta)
-                # beta is past every distinct stage, hence past the length
-                return FiltrationStage(beta, self.omega_chain[-1], True, beta)
-        chain = self.finite_chain
-        if chain is None:
-            # witnessed: the verdict needed no finite stage, and the chain never
-            # repeats, so build exactly the stages up to min(beta, horizon)
+        chain = self.chain
+        if self.ml_status.kind == "never":
+            if n is None and chain:  # stages w, w+1, ...; past them beta is past the length
+                j = next((j for j in range(len(chain)) if beta == ord_add(OMEGA, ord_from_int(j))), -1)
+                return FiltrationStage(beta, chain[j], True, beta)
+            # the verdict needed no finite stage, and the chain never repeats,
+            # so build exactly the stages up to min(beta, horizon)
             if n is not None and n <= self.horizon:
                 return iterate_image(self.tower, n)
             deepest = iterate_image(self.tower, self.horizon)
             return FiltrationStage(beta, deepest.subs, False, deepest.stage)
-        if n is not None:
-            if n < len(chain):
-                return FiltrationStage(beta, chain[n], True, beta)
-            if self.ml_status.kind == "stabilized":
-                return FiltrationStage(beta, self.stable_subs, True, beta)
+        if n is not None and n < len(chain):
+            return FiltrationStage(beta, chain[n], True, beta)
+        if self.ml_status.kind == "stabilized":
+            return FiltrationStage(beta, chain[-1], True, beta)
         return FiltrationStage(beta, chain[-1], False, ord_from_int(len(chain) - 1))
 
     @cached_property
@@ -644,7 +639,7 @@ class Filtration:
         """
         if self.ml_status.kind == "stabilized":
             return True, None
-        if self.omega_chain is not None:  # a witnessed multiplication tail
+        if self.ml_status.kind == "never" and self.chain:  # a witnessed multiplication tail
             return False, self.tower.tail.group.free_rank
         return None, None
 
@@ -685,6 +680,9 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
     ('Stabilized(1)', '1')
     >>> str(f.lim), str(f.lim1_status)
     ('Z/3', 'Zero')
+    >>> g = stabilize(multiplication_tower(fg_group(0, 4), 2))
+    >>> str(g.ml_status), str(g.length), str(g.lim), g.stage(OMEGA).is_trivial()
+    ('NeverStabilizes(free summand Z^1 with multiplication by 2)', 'w', '0', True)
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -692,20 +690,21 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
     witness = _tail_never_witness(s.tail, m)
     if witness is None:
         chain = tuple(islice(_image_stages(s, _full_stage(s)), horizon + 2))
-        if len(chain) <= horizon + 1:  # stage n repeated for some n <= horizon
-            n = len(chain) - 1
-            length = LengthValue("exact", ord_from_int(n))
-            return Filtration(s, horizon, MLStatus("stabilized", stage=n), length, chain[-1], chain, None)
-        status = MLStatus("unknown", horizon=horizon)
-        length = LengthValue("unknown_beyond", ord_from_int(horizon))
-        return Filtration(s, horizon, status, length, None, chain, None)
-    status = MLStatus("never", witness=witness)
-    if m is None:
-        return Filtration(s, horizon, status, LengthValue("unknown_beyond", OMEGA), None, None, None)
-    # all levels of the omega stage are finite, so the chain terminates
-    omega_chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
-    length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(omega_chain) - 1)))
-    return Filtration(s, horizon, status, length, omega_chain[-1], None, omega_chain)
+        n = len(chain) - 1
+        if n <= horizon:  # stage n repeated
+            status, length = MLStatus("stabilized", stage=n), LengthValue("exact", ord_from_int(n))
+        else:
+            status = MLStatus("unknown", horizon=horizon)
+            length = LengthValue("unknown_beyond", ord_from_int(horizon))
+    else:
+        status = MLStatus("never", witness=witness)
+        if m is None:
+            chain, length = (), LengthValue("unknown_beyond", OMEGA)
+        else:
+            # all levels of the omega stage are finite, so the chain terminates
+            chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
+            length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(chain) - 1)))
+    return Filtration(s, horizon, status, length, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from limtower.cli import main
-from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, multiplication_map
+from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, mat_mul, multiplication_map
 from limtower.ordinals import parse_ordinal
 from limtower.serialize import (
     SCHEMA_VERSION,
@@ -271,6 +271,40 @@ class TestCli:
         assert main(["snf", matrix_file, "--json"]) == 0
         out = capsys.readouterr().out
         assert "certified: True" in out
+
+    def test_snf_writes_entries_past_the_str_digit_limit(self, tmp_path, capsys):
+        """[[a, 0], [0, a + 2]] with a of 4000 sevens: D holds a(a + 2), 8000 digits, over `str`'s 4300."""
+        from decimal import Decimal
+
+        a = int("7" * 4000)
+        mat = [[a, 0], [0, a + 2]]
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"matrix": mat}))
+        assert main(["snf", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        lines = out.split("\n", 2)
+        d = str(Decimal(a * (a + 2)))  # Decimal has no digit limit
+        assert lines[:2] == [f"diagonal: [1, {d}]", "certified: True"]
+        result = json.loads(lines[2], parse_int=lambda text: int(Decimal(text)))["result"]
+        u, dd, v = result["U"], result["D"], result["V"]
+        assert dd == [[1, 0], [0, a * (a + 2)]] and result["diagonal"] == [1, a * (a + 2)]
+        assert max(len(str(Decimal(x))) for x in (*u[0], *u[1], *v[0], *v[1])) > 4300
+        assert mat_mul(mat_mul(u, mat, 2), v, 2) == dd
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            ("analyze", '{"prefix": [{"group": {"free_rank": ' + "1" * 5000 + "}}]}", "'prefix[0].group.free_rank'"),
+            ("snf", '{"matrix": [[1, 2], [3, -' + "9" * 5000 + "]]}", "'matrix[1][1]'"),
+        ],
+    )
+    def test_over_long_literal_names_its_field(self, tmp_path, capsys, command, text, field):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field} holds an integer of 5000 digits, over the limit of 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_walker_normalize(self, capsys):
         rc = main(["walker", "normalize", "2*e[0, 1]", "--p", "2", "--alpha", "w"])

@@ -18,6 +18,7 @@ from limtower.groups import (
     abs_det,
     fg_group,
     identity_map,
+    image,
     lattice_solve,
     mat_mul,
     mat_vec,
@@ -27,7 +28,7 @@ from limtower.groups import (
     unit_vector,
     zero_map,
 )
-from limtower.ordinals import OMEGA, ord_compare, ord_from_int, parse_ordinal
+from limtower.ordinals import OMEGA, ord_add, ord_compare, ord_from_int, parse_ordinal
 from limtower.serialize import analysis_report_to_json
 from limtower.towers import (
     ConstantEndo,
@@ -54,7 +55,7 @@ from limtower.towers import (
     window_difference_map,
     window_shift_map,
 )
-from limtower.towers import _decimal, _full_stage, _image_stages, _tail_never_witness
+from limtower.towers import _decimal, _full_stage, _image_stages, _prime_to_m_part, _tail_never_witness
 from limtower.suites import (
     behind_finite_front,
     corpus_towers,
@@ -242,7 +243,7 @@ class TestStabilizationPass:
         for beta in ("w+5", "w*2"):
             st = filt.stage(parse_ordinal(beta))
             assert st.exact
-            assert st.subs == filt.omega_chain[-1]
+            assert st.subs == filt.chain[-1]
 
     def test_witnessed_report_ignores_horizon(self):
         t = witnessed_tail()
@@ -325,6 +326,29 @@ class TestStabilizationPass:
         assert len(calls) == pass_steps == 199
         assert str(filt.ml_status) == "Stabilized(100)"
         assert all(st == iterate_image(t, n) for n, st in enumerate(stages))
+
+    def test_omega_sweep_reads_one_pass(self, monkeypatch):
+        calls = []
+        counted = towers_mod.image_of_subgroup
+        monkeypatch.setattr(
+            towers_mod, "image_of_subgroup", lambda h, sub: calls.append(1) or counted(h, sub)
+        )
+        z27, g = fg_group(27), fg_group(0, 3)
+        triple = multiplication_map(z27, 3)
+        into = GroupMap(g, z27, ((9, 1),))  # the Z/3 generator to 9, the Z generator to 1
+        t = Tower((z27, z27, z27, g), (triple, triple, into), ConstantEndo(g, multiplication_map(g, 2)))
+        filt = stabilize(t)
+        pass_steps = len(calls)
+        stages = [filt.stage(ord_add(OMEGA, ord_from_int(j))) for j in range(6)]
+        stable = filt.stable_subs
+        # three window steps down from the stable level, the four levels of the
+        # omega stage, then levels 1 and 0 as each moves; reading makes no step
+        assert len(calls) == pass_steps == 9
+        assert str(filt.length) == "w + 3"
+        assert [[sub.order() for sub in st.subs] for st in stages] == [
+            [3, 9, 27, 3], [3, 9, 3, 3], [3, 1, 3, 3], [1, 1, 3, 3], [1, 1, 3, 3], [1, 1, 3, 3]
+        ]
+        assert stable == stages[3].subs and all(st.exact for st in stages)
 
     def test_trivial_level_gets_no_image_step(self, monkeypatch):
         stepped = []
@@ -431,6 +455,45 @@ class TestStabilizationPass:
         del t
         gc.collect()
         assert ref() is None
+
+
+def reference_omega_stage_multiplication(s: Tower, m: int) -> tuple[Subgroup, ...]:
+    """The omega stage by one composed window map per level, as it was first built."""
+    c = s.stable_index
+    out = []
+    for i in range(c + 1):
+        window_image = image(s.window_map(i, c - i))
+        out.append(_prime_to_m_part(window_image, m))
+    return tuple(out)
+
+
+class TestOmegaStage:
+    def test_long_prefixes_match_the_window_maps(self):
+        """Z^r + T under m in 2, 3, 6 behind 0..60 random finite levels, the last map out of the tail."""
+        rng = random.Random(67)
+        longest = deep = far = 0
+        for k in range(90):
+            torsion = random_finite_group(rng, 36)
+            g = FgAbGroup(1 + k % 2, torsion.invariant_factors)
+            m = (2, 3, 6)[k % 3]
+            front = [random_finite_group(rng, 64) for _ in range(rng.randint(0, 60))]
+            groups = (*front, g) if front else ()
+            maps = tuple(random_hom(rng, groups[i + 1], groups[i]) for i in range(len(groups) - 1))
+            t = Tower(groups, maps, ConstantEndo(g, multiplication_map(g, m)))
+            filt = stabilize(t)
+            reference = [reference_omega_stage_multiplication(t, m)]
+            while (nxt := reference_step(t, reference[-1])) != reference[-1]:
+                reference.append(nxt)
+            n = len(reference) - 1
+            assert filt.length == LengthValue("exact", ord_add(OMEGA, ord_from_int(n)))
+            for j in range(n + 3):
+                beta = ord_add(OMEGA, ord_from_int(j))
+                st = filt.stage(beta)
+                assert (st.subs, st.exact, st.computed_to) == (reference[min(j, n)], True, beta)
+            longest = max(longest, n)
+            deep += t.stable_index > 1 and n > 0
+            far += t.stable_index >= 30 and not all(sub.is_trivial() for sub in reference[0][:-1])
+        assert longest >= 2 and deep >= 15 and far >= 10
 
 
 def reference_tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
