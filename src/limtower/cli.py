@@ -1,9 +1,13 @@
 """Command line front end.
 
 Subcommands: analyze, walker (normalize | height | ulm-probe), snf, suite.
-Exit codes: 0 on success, 1 when a requested check fails, 2 on usage or
-input errors, 3 on an internal error (a broken library invariant or any
-other unexpected exception).  JSON reports are schema versioned and byte
+Each `_cmd_*` returns (fields, lines, exit code): its report fields, the
+lines it prints, and 0, or 1 when a requested check fails; it never
+catches an exception.  `main` alone times the command, wraps its fields
+in the report envelope (schema, command, timing_ms), emits the lines and
+the report, and picks the exit code of an exception: 2 on usage or input
+errors, 3 on an internal error (a broken library invariant or any other
+unexpected exception).  JSON reports are schema versioned and byte
 deterministic; timing is emitted as null unless --timing is given.
 """
 
@@ -16,7 +20,7 @@ import sys
 import time
 
 from .groups import smith_certificate_error, smith_normal_form
-from .ordinals import parse_ordinal
+from .ordinals import parse_digits, parse_ordinal
 from .serialize import (
     SCHEMA_VERSION,
     analysis_report_to_json,
@@ -24,7 +28,7 @@ from .serialize import (
     parse_int,
     tower_from_json,
 )
-from .suites import run_suite
+from .suites import SUITES, run_suite
 from .towers import DEFAULT_HORIZON, _decimal, analyze
 from . import walker as wk
 
@@ -74,21 +78,9 @@ def _load_json_file(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _timing(args, started: float):
-    return round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
-
-
-def _cmd_analyze(args) -> int:
-    started = time.monotonic()
+def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     tower = tower_from_json(_load_json_file(args.tower))
     body = analysis_report_to_json(analyze(tower, horizon=args.horizon))
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "analyze",
-        "input": args.tower,
-        "result": body,
-        "timing_ms": _timing(args, started),
-    }
     lim_text = body["lim_pretty"] if body["lim"] is not None else "undetermined"
     lines = [
         f"ml_status: {body['ml_status']['kind']}",
@@ -98,54 +90,23 @@ def _cmd_analyze(args) -> int:
         f"local: {body['local']}",
         f"omega_complete: {body['omega_complete']}",
     ]
-    _emit(report, args, lines)
-    return 0
+    return {"input": args.tower, "result": body}, lines, 0
 
 
 def _ascii_int(text: str) -> int:
     """argparse type: ASCII digits only, where int() would also take `1_0` or other scripts' digits."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return parse_digits(text)
+    except ValueError as exc:  # argparse would quote the whole text
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _walker_context(args) -> wk.WalkerContext:
-    return wk.WalkerContext(args.p, parse_ordinal(args.alpha))
-
-
-def _cmd_walker(args) -> int:
-    started = time.monotonic()
-    ctx = _walker_context(args)
-    if args.walker_command == "normalize":
-        x = wk.parse_element(ctx, args.element)
-        nx = wk.normalize(x)
-        normal = wk.format_element(nx)
-        result = {
-            "input": wk.format_element(x),
-            "normalized": normal,
-            "is_zero": nx.is_zero(),
-            "p": ctx.p,
-            "alpha": str(ctx.alpha),
-        }
-        lines = [f"normal form: {normal}"]
-    elif args.walker_command == "height":
-        x = wk.parse_element(ctx, args.element)
-        nx = wk.normalize(x)
-        h = wk.height(nx)
-        result = {
-            "input": wk.format_element(x),
-            "height": str(h),
-            "is_zero": nx.is_zero(),
-            "height_is_alpha_sentinel": nx.is_zero(),
-            "p": ctx.p,
-            "alpha": str(ctx.alpha),
-        }
-        lines = [
-            f"height: {h}" + (" (zero element, sentinel value alpha)" if nx.is_zero() else "")
-        ]
-    else:
-        sample = [parse_ordinal(b) for b in args.betas]
-        probe = wk.ulm_probe(ctx, sample)
+def _cmd_walker(args) -> tuple[dict, list[str], int]:
+    ctx = wk.WalkerContext(args.p, parse_ordinal(args.alpha))
+    if args.walker_command == "ulm-probe":
+        probe = wk.ulm_probe(ctx, [parse_ordinal(b) for b in args.betas])
         result = {
             "p": probe.p,
             "alpha": str(probe.alpha),
@@ -168,66 +129,58 @@ def _cmd_walker(args) -> int:
         ]
         lines.append(f"top stage p^{probe.alpha} trivial: {probe.top_stage_trivial}")
         lines.append("probe ok" if probe.ok else "probe FAILED")
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": f"walker {args.walker_command}",
-        "result": result,
-        "timing_ms": _timing(args, started),
-    }
-    _emit(report, args, lines)
-    if args.walker_command == "ulm-probe" and not result["ok"]:
-        return 1
-    return 0
+        return {"result": result}, lines, 0 if probe.ok else 1
+    x = wk.parse_element(ctx, args.element)
+    nx = wk.normalize(x)
+    result = {"input": wk.format_element(x), "is_zero": nx.is_zero(), "p": ctx.p, "alpha": str(ctx.alpha)}
+    if args.walker_command == "normalize":
+        result["normalized"] = wk.format_element(nx)
+        lines = [f"normal form: {result['normalized']}"]
+    else:
+        h = wk.height(nx)
+        result["height"] = str(h)
+        result["height_is_alpha_sentinel"] = nx.is_zero()
+        lines = [
+            f"height: {h}" + (" (zero element, sentinel value alpha)" if nx.is_zero() else "")
+        ]
+    return {"result": result}, lines, 0
 
 
-def _cmd_snf(args) -> int:
-    started = time.monotonic()
+def _cmd_snf(args) -> tuple[dict, list[str], int]:
     mat = matrix_from_json(_load_json_file(args.matrix))
     u, d, v = smith_normal_form(mat)
     certified = smith_certificate_error(mat, u, d, v) is None
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "snf",
-        "input": args.matrix,
-        "result": {
-            "U": [list(r) for r in u],
-            "D": [list(r) for r in d],
-            "V": [list(r) for r in v],
-            "diagonal": diag,
-            "certified": certified,
-        },
-        "timing_ms": _timing(args, started),
+    result = {
+        "U": [list(r) for r in u],
+        "D": [list(r) for r in d],
+        "V": [list(r) for r in v],
+        "diagonal": diag,
+        "certified": certified,
     }
-    _emit(report, args, [f"diagonal: [{', '.join(map(_decimal, diag))}]", f"certified: {certified}"])
-    return 0 if certified else 1
+    lines = [f"diagonal: [{', '.join(map(_decimal, diag))}]", f"certified: {certified}"]
+    return {"input": args.matrix, "result": result}, lines, 0 if certified else 1
 
 
-def _cmd_suite(args) -> int:
-    started = time.monotonic()
-    try:
-        results = run_suite(args.name, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "suite",
-        "input": {"name": args.name, "seed": args.seed},
-        "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "passed": sum(r.passed for r in results),
-        "total": len(results),
-        "timing_ms": _timing(args, started),
-    }
+def _cmd_suite(args) -> tuple[dict, list[str], int]:
+    if args.name not in SUITES:
+        raise ValueError(f"unknown suite {args.name!r}")
+    results = run_suite(args.name, seed=args.seed)
+    passed = sum(r.passed for r in results)
     lines = [
         ("[PASS] " if r.passed else "[FAIL] ") + f"{r.name} - {r.detail}"
         for r in results
     ]
-    lines.append(f"{report['passed']}/{report['total']} checks passed")
-    _emit(report, args, lines)
-    return 0 if report["passed"] == report["total"] else 1
+    lines.append(f"{passed}/{len(results)} checks passed")
+    fields = {
+        "input": {"name": args.name, "seed": args.seed},
+        "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        "passed": passed,
+        "total": len(results),
+    }
+    return fields, lines, 0 if passed == len(results) else 1
 
 
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -289,10 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = f"walker {args.walker_command}" if args.command == "walker" else args.command
+    started = time.monotonic()
     try:
-        return args.func(args)
+        fields, lines, code = args.func(args)
+        timing_ms = round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
+        report = {"schema": SCHEMA_VERSION, "command": command, **fields, "timing_ms": timing_ms}
+        _emit(report, args, lines)
+        return code
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ sequences (shorter sequences first, then lexicographic).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import total_ordering
 from operator import lt
@@ -142,6 +143,19 @@ _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()]|\S.*)", re.DOTALL)
 MAX_NESTING = 200
 
 
+def parse_digits(run: str, what: str = "integer", where: str = "") -> int:
+    """int(run) for a run of ASCII digits.
+
+    A run past Python's int <-> str digit limit is a ValueError that says
+    `what` of its digit count, then `where`, is over the limit.
+    """
+    try:
+        return int(run)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} of {len(run)} digits{where} is over the limit of {limit} digits") from None
+
+
 def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
     """Fold `term (+ term)*` from tokens[pos] into one ordinal; returns it and the next position.
 
@@ -158,7 +172,7 @@ def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
         tok = tokens[pos]
         pos += 1
         if tok.isdigit():
-            e, c = ZERO, int(tok)
+            e, c = ZERO, parse_digits(tok, where=" in ordinal")
         elif tok == "w":
             e, c = ONE, 1
             if pos < n and tokens[pos] == "^":
@@ -168,7 +182,7 @@ def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
                     raise ValueError("unexpected end of ordinal expression")
                 if not tokens[pos + 1].isdigit():
                     raise ValueError("coefficient must be a plain integer")
-                c = int(tokens[pos + 1])
+                c = parse_digits(tokens[pos + 1], where=" in ordinal")
                 pos += 2
         else:
             raise ValueError(f"expected term, found {tok!r}")
@@ -203,7 +217,7 @@ def _atom(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
             raise ValueError("unbalanced parenthesis in ordinal")
         return inner, pos + 1
     if tok.isdigit():
-        n = int(tok)
+        n = parse_digits(tok, where=" in ordinal")
         return (OrdinalCNF._of_valid(((ZERO, n),), (((), n),)) if n else ZERO), pos + 1
     if tok == "w":
         return OMEGA, pos + 1

@@ -22,6 +22,7 @@ of the previous one under the same maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from itertools import islice
 from math import gcd
@@ -395,24 +396,10 @@ class Lim1Status:
         return f"Unknown({self.reason})"
 
 
-_PIECE = 10**600  # below 640 digits, the least limit `str` can be set to
-
-
 def _decimal(n: int) -> str:
-    """n in base 10, in full.
-
-    `str` refuses integers past a digit limit (4300 by default), so a
-    longer one is cut by divmod into 600-digit pieces.
-    """
-    if -_PIECE < n < _PIECE:
-        return str(n)
-    pieces = []
-    q = abs(n)
-    while q >= _PIECE:
-        q, low = divmod(q, _PIECE)
-        pieces.append(f"{low:0600d}")
-    pieces.append(str(q))
-    return ("-" if n < 0 else "") + "".join(reversed(pieces))
+    """n in base 10, in full: `str` refuses integers past a digit limit
+    (4300 by default), and a `Decimal` of an int is exact with none."""
+    return str(Decimal(n))
 
 
 def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:

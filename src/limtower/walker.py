@@ -28,11 +28,10 @@ height of zero is alpha by convention (p^alpha D'_alpha = 0).
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_ordinal
+from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_digits, parse_ordinal
 
 
 def _is_prime(n: int) -> bool:
@@ -170,14 +169,6 @@ def add(x: WalkerElement, y: WalkerElement) -> WalkerElement:
 
 def scalar_mul(c: int, x: WalkerElement) -> WalkerElement:
     return _carry(x.context, [(k, c * v) for k, v in x.support])
-
-
-def neg(x: WalkerElement) -> WalkerElement:
-    return scalar_mul(-1, x)
-
-
-def sub(x: WalkerElement, y: WalkerElement) -> WalkerElement:
-    return add(x, neg(y))
 
 
 def mul_by_p(x: WalkerElement) -> WalkerElement:
@@ -330,7 +321,8 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     `parse_ordinal`, holding no bracket; each distinct entry text is parsed
     once per call.  An error names a 1-based column: where no term matches,
     or where the term holding a bad entry, a bad index or an over-long
-    coefficient begins.  The result is raw (not normalized).
+    coefficient begins; a bad entry is quoted to at most 60 characters.
+    The result is raw (not normalized).
     """
     pos = len(text) - len(text.lstrip())
     if text[pos:].rstrip() == "0":
@@ -349,19 +341,14 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
                 try:
                     e = parsed[entry] = parse_ordinal(entry)
                 except ValueError as exc:
-                    raise ValueError(f"bad index entry {entry!r} in the term at column {pos + 1}: {exc}") from None
+                    shown = entry if len(entry) <= 60 else entry[:57] + "..."
+                    raise ValueError(f"bad index entry {shown!r} in the term at column {pos + 1}: {exc}") from None
             entries.append(e)
         try:
             idx = ctx.index(entries)
         except ValueError as exc:
             raise ValueError(f"{exc} in the term at column {pos + 1}") from None
-        try:
-            coeff = int(m[2]) if m[2] else 1
-        except ValueError:  # past Python's int <-> str digit limit
-            raise ValueError(
-                f"coefficient of {len(m[2])} digits in the term at column {pos + 1}"
-                f" is over the limit of {sys.get_int_max_str_digits()} digits"
-            ) from None
+        coeff = parse_digits(m[2], "coefficient", f" in the term at column {pos + 1}") if m[2] else 1
         acc[idx] = acc.get(idx, 0) + (-coeff if m[1] == "-" else coeff)
         pos = m.end()
         if pos == len(text):

@@ -321,6 +321,15 @@ class TestCli:
         assert rc == 0
         assert "probe ok" in capsys.readouterr().out
 
+    def test_walker_failed_ulm_probe_exit_one(self, monkeypatch, capsys):
+        from limtower import walker
+        from limtower.ordinals import OMEGA, ZERO
+
+        bad = walker.UlmProbeReport(2, OMEGA, (walker.UlmProbeEntry(ZERO, OMEGA, True, False),), True, False)
+        monkeypatch.setattr(walker, "ulm_probe", lambda ctx, sample: bad)
+        assert main(["walker", "ulm-probe", "0", "--p", "2", "--alpha", "w"]) == 1
+        assert capsys.readouterr().out == "stage 0: height w MISMATCH\ntop stage p^w trivial: True\nprobe FAILED\n"
+
     def test_walker_bad_element_exit_two(self, capsys):
         assert main(["walker", "normalize", "e[]", "--p", "2", "--alpha", "w"]) == 2
 
@@ -386,6 +395,42 @@ class TestCli:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walker", "normalize", "e[0]", "--p", "3", "--alpha", "N"],
+            ["walker", "height", "e[0]", "--p", "3", "--alpha", "w^N"],
+            ["walker", "ulm-probe", "w*N", "--p", "2", "--alpha", "w"],
+            ["walker", "normalize", "e[0, N]", "--p", "3", "--alpha", "w"],
+        ],
+        ids=["alpha", "alpha-exponent", "ulm-probe-stage", "index-entry"],
+    )
+    def test_over_long_ordinal_integer_exit_two(self, capsys, argv):
+        n = "1" * 5000
+        assert main([a.replace("N", n) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "integer of 5000 digits in ordinal is over the limit of 4300 digits" in err
+        assert "set_int_max_str_digits" not in err and "1" * 61 not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walker", "normalize", "e[0]", "--p", "N", "--alpha", "w"],
+            ["analyze", "TOWER", "--horizon", "N"],
+            ["suite", "paper-examples", "--seed", "N"],
+        ],
+        ids=["p", "horizon", "seed"],
+    )
+    def test_over_long_integer_flag_exit_two(self, tower_file, capsys, argv):
+        argv = [{"N": "7" * 5000, "TOWER": tower_file}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value this way
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        flag = argv[argv.index("7" * 5000) - 1]
+        assert f"argument {flag}: integer of 5000 digits is over the limit of 4300 digits" in err
+        assert "7" * 61 not in err
+
     @pytest.mark.parametrize("where", ["stage", "alpha"])
     def test_deeply_nested_ordinal_exit_two(self, capsys, where):
         deep = "w^(" * 1000 + "1" + ")" * 1000
@@ -411,7 +456,18 @@ class TestCli:
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["suite", "not-a-suite"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown suite 'not-a-suite'\n"
+
+    def test_key_error_inside_a_suite_exit_three(self, monkeypatch, capsys):
+        from limtower import suites
+
+        def broken():
+            raise KeyError("stage")
+
+        monkeypatch.setattr(suites, "criterion_shift_invariance", broken)
+        assert main(["suite", "paper-examples"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: KeyError: 'stage'\n" and captured.out == ""
 
     def test_failing_suite_exit_one(self, monkeypatch, capsys):
         from limtower import cli as cli_mod
@@ -523,6 +579,42 @@ def test_suite_output_matches_the_recorded_digest(args, recorded, capsys):
     """
     assert main(["suite", *args, "--json", "-"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+def digest_matrices():
+    """60 seeded matrices of 1..4 rows and 1..5 columns, entries in [-20, 20], every
+    third with its last row a copy of its first; then [[a, 0], [0, a + 2]] with a of
+    4000 sevens, whose Smith entry a(a + 2) has 8000 digits."""
+    rng = random.Random(2028)
+    for k in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        mat = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 0:
+            mat[-1] = list(mat[0])
+        yield mat
+    a = int("7" * 4000)
+    yield [[a, 0], [0, a + 2]]
+
+
+RECORDED_SNF_DIGEST = "5c015831f554b365e78de11258c5d977397e5654016a0d42b23b83f4e96d0c09"
+
+
+def test_snf_output_matches_the_recorded_digest(tmp_path, monkeypatch, capsys):
+    """Every byte `snf mat.json --json -` prints on `digest_matrices()` is as recorded.
+
+    The digest is the sha256 of the concatenated stdout, run in process from
+    the directory that holds mat.json (so the report's `input` is the
+    relative name). It was recorded before the commands began to return
+    their report fields to `main`, which alone builds the report envelope.
+    """
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for mat in digest_matrices():
+        (tmp_path / "mat.json").write_text(json.dumps({"matrix": mat}))
+        assert main(["snf", "mat.json", "--json", "-"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs) == 61
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == RECORDED_SNF_DIGEST
 
 
 def _walker_line(ctx: WalkerContext, text: str) -> str:

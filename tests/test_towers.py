@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import time
 import weakref
 from itertools import islice
@@ -630,9 +631,16 @@ class TestWitnessFromPivots:
         assert len(calls) == 2
 
     def test_decimal_writes_past_the_str_digit_limit(self):
-        decimal = pytest.importorskip("decimal")
-        for n in (0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(3**9000), 10**5000 * 7 + 10**3):
-            assert _decimal(n) == str(decimal.Decimal(n)), n
+        cases = (0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(3**9000), 10**5000 * 7 + 10**3)
+        got = [_decimal(n) for n in cases]  # under the default digit limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: `str` writes every int
+        try:
+            want = [str(n) for n in cases]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == want
+        assert 0 < limit < max(map(len, want))
         assert _decimal(12345678901234567890) == "12345678901234567890"
 
 
