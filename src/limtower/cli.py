@@ -9,18 +9,21 @@ the report, and picks the exit code of an exception: 2 on usage or input
 errors, 3 on an internal error (a broken library invariant or any other
 unexpected exception).  JSON reports are schema versioned and byte
 deterministic; timing is emitted as null unless --timing is given.
+
+`main` owns the interpreter's int <-> str digit limit: readers bound input
+digit runs by `ordinals.MAX_DIGITS`, so `main` lifts the limit while a
+command runs, every integer is written in full, and the limit is restored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 
 from .groups import smith_certificate_error, smith_normal_form
-from .ordinals import parse_digits, parse_ordinal
+from .ordinals import excerpt, parse_digits, parse_ordinal
 from .serialize import (
     SCHEMA_VERSION,
     analysis_report_to_json,
@@ -29,31 +32,8 @@ from .serialize import (
     tower_from_json,
 )
 from .suites import SUITES, run_suite
-from .towers import DEFAULT_HORIZON, _decimal, analyze
+from .towers import DEFAULT_HORIZON, analyze
 from . import walker as wk
-
-
-def _dumps(report: dict) -> str:
-    """The report as indented JSON, with every integer in full.
-
-    `json` writes an int with `repr`, which refuses one past the digit
-    limit, so each int goes in as a NUL-tagged string, which no argument
-    or library text holds, and `_decimal` writes it in that string's place.
-    """
-    ints: list[int] = []
-
-    def swap(v):
-        if isinstance(v, dict):
-            return {k: swap(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [swap(x) for x in v]
-        if type(v) is int:  # not a bool
-            ints.append(v)
-            return f"\0{len(ints) - 1}"
-        return v
-
-    text = json.dumps(swap(report), indent=2, sort_keys=True)
-    return re.sub(r'"\\u0000(\d+)"', lambda m: _decimal(ints[int(m[1])]), text)
 
 
 def _emit(report: dict, args, human_lines: list[str]) -> None:
@@ -61,7 +41,7 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
         print(line)
     if args.json is None:
         return
-    text = _dumps(report)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.json == "-":
         print(text)
     else:
@@ -96,7 +76,7 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
 def _ascii_int(text: str) -> int:
     """argparse type: ASCII digits only, where int() would also take `1_0` or other scripts' digits."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {excerpt(text)!r}")
     try:
         return parse_digits(text)
     except ValueError as exc:  # argparse would quote the whole text
@@ -158,13 +138,13 @@ def _cmd_snf(args) -> tuple[dict, list[str], int]:
         "diagonal": diag,
         "certified": certified,
     }
-    lines = [f"diagonal: [{', '.join(map(_decimal, diag))}]", f"certified: {certified}"]
+    lines = [f"diagonal: {diag}", f"certified: {certified}"]
     return {"input": args.matrix, "result": result}, lines, 0 if certified else 1
 
 
 def _cmd_suite(args) -> tuple[dict, list[str], int]:
     if args.name not in SUITES:
-        raise ValueError(f"unknown suite {args.name!r}")
+        raise ValueError(f"unknown suite {excerpt(args.name)!r}")
     results = run_suite(args.name, seed=args.seed)
     passed = sum(r.passed for r in results)
     lines = [
@@ -242,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = f"walker {args.walker_command}" if args.command == "walker" else args.command
-    started = time.monotonic()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        command = f"walker {args.walker_command}" if args.command == "walker" else args.command
+        started = time.monotonic()
         fields, lines, code = args.func(args)
         timing_ms = round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
         report = {"schema": SCHEMA_VERSION, "command": command, **fields, "timing_ms": timing_ms}
@@ -257,6 +239,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -334,11 +334,8 @@ def lattice_solve(basis: tuple[Vector, ...], vec: Vector | list[int]) -> list[in
     """Coefficients x with sum x_k * basis_k = vec, or None if vec is outside.
 
     `basis` is in echelon form (pivot columns strictly increase), as from
-    `row_hermite_basis`.  In the identity basis the coefficients are vec.
+    `row_hermite_basis`.
     """
-    n = len(vec)
-    if len(basis) == n and all(row[k] == 1 and row.count(0) == n - 1 == len(row) - 1 for k, row in enumerate(basis)):
-        return list(vec)
     v = list(vec)
     coeffs = [0] * len(basis)
     p = -1

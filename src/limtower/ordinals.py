@@ -13,7 +13,6 @@ sequences (shorter sequences first, then lexicographic).
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import total_ordering
 from operator import lt
@@ -143,17 +142,24 @@ _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()]|\S.*)", re.DOTALL)
 MAX_NESTING = 200
 
 
+# Longest digit run read as an input integer: Python's default int <-> str limit.
+MAX_DIGITS = 4300
+
+
 def parse_digits(run: str, what: str = "integer", where: str = "") -> int:
     """int(run) for a run of ASCII digits.
 
-    A run past Python's int <-> str digit limit is a ValueError that says
-    `what` of its digit count, then `where`, is over the limit.
+    A run of more than MAX_DIGITS digits is a ValueError that says `what`
+    of its digit count, then `where`, is over the limit.
     """
-    try:
-        return int(run)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{what} of {len(run)} digits{where} is over the limit of {limit} digits") from None
+    if len(run) > MAX_DIGITS:
+        raise ValueError(f"{what} of {len(run)} digits{where} is over the limit of {MAX_DIGITS} digits")
+    return int(run)
+
+
+def excerpt(text: str) -> str:
+    """User text to quote in an error: at most 60 characters, the first 57 and `...` when longer."""
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _expr(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
@@ -208,7 +214,7 @@ def _atom(tokens: list[str], pos: int, depth: int) -> tuple[OrdinalCNF, int]:
     tok = tokens[pos]
     if tok == "(":
         if depth == MAX_NESTING:
-            fragment = "".join(tokens[pos : pos + 12])
+            fragment = excerpt("".join(tokens[pos : pos + 12]))
             raise ValueError(f"ordinal nested deeper than {MAX_NESTING} parentheses near {fragment!r}")
         inner, pos = _expr(tokens, pos + 1, depth + 1)
         if pos == len(tokens):
@@ -236,12 +242,12 @@ def parse_ordinal(text: str) -> OrdinalCNF:
     if tokens and tokens[-1][0] not in "0123456789w^*+()":
         # quote from the end of the last good token, whitespace included
         start = len(text[: len(text) - len(tokens[-1])].rstrip())
-        raise ValueError(f"bad ordinal syntax near {text[start:]!r}")
+        raise ValueError(f"bad ordinal syntax near {excerpt(text[start:])!r}")
     if not tokens:
         raise ValueError("empty ordinal expression")
     out, pos = _expr(tokens, 0, 0)
     if pos < len(tokens):
-        raise ValueError(f"trailing tokens in ordinal: {tokens[pos:]}")
+        raise ValueError(f"trailing tokens in ordinal: {excerpt(str(tokens[pos:]))}")
     return out
 
 

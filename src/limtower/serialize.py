@@ -19,15 +19,16 @@ Parsing is strict: every count, factor, entry and multiplier must be a
 JSON integer (not a float and not a boolean), and every rejection is a
 ValueError that names the offending field by its JSON path, including a
 missing key, a group or map that `FgAbGroup` or `GroupMap` rejects, and an
-integer literal too long for `int` (read with `parse_int` as the hook).
+integer literal of more than `ordinals.MAX_DIGITS` digits (read with
+`parse_int` as the hook).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 
 from .groups import FgAbGroup, GroupMap, multiplication_map
+from .ordinals import MAX_DIGITS, excerpt
 from .towers import ConstantEndo, Filtration, Tower, ZeroTail
 
 SCHEMA_VERSION = "limtower-report/1"
@@ -38,26 +39,22 @@ def group_to_json(g: FgAbGroup) -> dict:
 
 
 class LongLiteral(str):
-    """The text of a JSON integer literal past `int`'s digit limit."""
+    """The text of a JSON integer literal of more than MAX_DIGITS digits."""
 
 
 def parse_int(text: str) -> int | LongLiteral:
-    """`json.load`'s parse_int hook: the literal that `int` refuses is kept for a validator to reject."""
-    try:
-        return int(text)
-    except ValueError:
+    """`json.load`'s parse_int hook: a literal over MAX_DIGITS digits is kept for a validator to reject."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
         return LongLiteral(text)
+    return int(text)
 
 
 def _bad(path: str, want: str, value) -> ValueError:
     if isinstance(value, LongLiteral):
         digits = len(value.lstrip("-"))
-        limit = sys.get_int_max_str_digits()
-        return ValueError(f"field '{path}' holds an integer of {digits} digits, over the limit of {limit} digits")
-    got = json.dumps(value)
-    if len(got) > 60:  # a rejected value can be megabytes long
-        got = got[:60] + "..."
-    return ValueError(f"field '{path}' must be {want}, got {got}")
+        return ValueError(f"field '{path}' holds an integer of {digits} digits, over the limit of {MAX_DIGITS} digits")
+    # a rejected value can be megabytes long
+    return ValueError(f"field '{path}' must be {want}, got {excerpt(json.dumps(value))}")
 
 
 def _int(value, path: str) -> int:

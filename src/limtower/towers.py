@@ -473,13 +473,20 @@ def _omega_stage_multiplication(s: Tower, m: int) -> tuple[Subgroup, ...]:
 
     At level i the chain is eventually m^k * G_i with G_i the image of the
     window map from the stable level c, G_c = S_c and G_i = f_i(G_{i+1}), and
-    the intersection of that chain is the prime-to-m torsion of G_i.
+    the intersection of that chain is the prime-to-m torsion of G_i.  Each
+    level is checked finite (no basis row has a nonzero free coordinate),
+    so each strict image step lowers some level's order and the chain ends.
     """
     c = s.stable_index
     window = [Subgroup.full(s.group(c))]
     for i in reversed(range(c)):
         window.append(image_of_subgroup(s.step_map(i), window[-1]))
-    return tuple(_prime_to_m_part(g, m) for g in reversed(window))
+    stage = tuple(_prime_to_m_part(g, m) for g in reversed(window))
+    for i, g in enumerate(stage):
+        k = len(g.ambient.invariant_factors)
+        if any(any(row[k:]) for row in g.basis):
+            raise RuntimeError(f"omega stage is not finite at level {i}")
+    return stage
 
 
 def _image_stages(s: Tower, subs: tuple[Subgroup, ...]):
@@ -688,7 +695,7 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
         if m is None:
             chain, length = (), LengthValue("unknown_beyond", OMEGA)
         else:
-            # all levels of the omega stage are finite, so the chain terminates
+            # the omega stage is checked finite at every level, so the chain terminates
             chain = tuple(_image_stages(s, _omega_stage_multiplication(s, m)))
             length = LengthValue("exact", ord_add(OMEGA, ord_from_int(len(chain) - 1)))
     return Filtration(s, horizon, status, length, chain)

@@ -31,18 +31,24 @@ import re
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .ordinals import DegLexIndex, OrdinalCNF, ord_succ, parse_digits, parse_ordinal
+from .ordinals import DegLexIndex, OrdinalCNF, excerpt, ord_succ, parse_digits, parse_ordinal
+
+
+# Miller-Rabin with the first thirteen primes as bases passes no composite below PRIME_BOUND.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether n is prime, exactly for every n below PRIME_BOUND.
+
+    With n - 1 = d * 2^s and d odd, base b passes when b^d = 1 or b^(d * 2^j) = -1 mod n for a j < s.
+    """
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << j, n) == n - 1 for j in range(s)) for b in _PRIME_BASES)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,8 @@ class WalkerContext:
     alpha: OrdinalCNF
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"p must be below {PRIME_BOUND}, where the primality test is exact")
         if not _is_prime(self.p):
             raise ValueError("p must be prime")
         if self.alpha.is_zero():
@@ -321,7 +329,7 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     `parse_ordinal`, holding no bracket; each distinct entry text is parsed
     once per call.  An error names a 1-based column: where no term matches,
     or where the term holding a bad entry, a bad index or an over-long
-    coefficient begins; a bad entry is quoted to at most 60 characters.
+    coefficient begins; quoted text is cut to at most 60 characters.
     The result is raw (not normalized).
     """
     pos = len(text) - len(text.lstrip())
@@ -332,7 +340,7 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
     while True:
         m = _TERM.match(text, pos)
         if m is None or (acc and not m[1]):
-            raise ValueError(f"expected a term at column {pos + 1}: {text[pos:]!r}")
+            raise ValueError(f"expected a term at column {pos + 1}: {excerpt(text[pos:])!r}")
         entries = []
         for part in m[3].split(","):
             entry = part.strip()
@@ -341,8 +349,7 @@ def parse_element(ctx: WalkerContext, text: str) -> WalkerElement:
                 try:
                     e = parsed[entry] = parse_ordinal(entry)
                 except ValueError as exc:
-                    shown = entry if len(entry) <= 60 else entry[:57] + "..."
-                    raise ValueError(f"bad index entry {shown!r} in the term at column {pos + 1}: {exc}") from None
+                    raise ValueError(f"bad index entry {excerpt(entry)!r} in the term at column {pos + 1}: {exc}") from None
             entries.append(e)
         try:
             idx = ctx.index(entries)

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -505,6 +507,156 @@ class TestCli:
         obj = json.loads(p1.read_text())
         assert obj["input"]["seed"] == 1
         assert obj["passed"] == obj["total"]
+
+
+N = "9" * 4300  # the longest digit run an input may hold
+TWO_N = "1" + "9" * 4299 + "8"  # N + N, one digit longer
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The interpreter's int <-> str limit at its lowest, 640 digits, for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestIntegerSize:
+    """Input digit runs are bounded by MAX_DIGITS; every integer the CLI writes is written in full."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["normalize", f"{N}*e[0] + {N}*e[0]", "--alpha", "w"], {"input": f"{TWO_N}*e[0]", "normalized": "0"}),
+            (["normalize", "e[0]", "--alpha", f"w*{N} + w*{N}"], {"alpha": f"w*{TWO_N}"}),
+            (
+                ["ulm-probe", f"w*{N} + w*{N}", "--alpha", "w^2"],
+                {"entries": [{"beta": f"w*{TWO_N}", "height": f"w*{TWO_N}", "nonzero": True, "exact": True}]},
+            ),
+        ],
+        ids=["sum-of-coefficients", "sum-in-alpha", "sum-in-stage"],
+    )
+    def test_sums_of_accepted_literals_are_written_in_full(self, capsys, argv, want):
+        assert main(["walker", *argv, "--p", "2", "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        result = json.loads(out[out.index("\n{") :])["result"]
+        assert {k: result[k] for k in want} == want
+
+    def test_limit_is_restored_on_every_exit(self, tower_file, monkeypatch, capsys):
+        from limtower import cli as cli_mod
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["analyze", tower_file]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+            assert main(["walker", "normalize", "e[]", "--p", "2", "--alpha", "w"]) == 2
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(SystemExit):  # argparse rejects the flag
+                main(["analyze", tower_file, "--horizon", "x"])
+            assert sys.get_int_max_str_digits() == 5000
+            monkeypatch.setattr(cli_mod, "analyze", lambda tower, horizon: 1 // 0)
+            assert main(["analyze", tower_file]) == 3
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_input_limit_does_not_follow_the_interpreter(self, tmp_path, capsys, low_digit_limit):
+        k = "7" * 1000  # past the interpreter's 640, under MAX_DIGITS
+        assert main(["walker", "normalize", f"{k}*e[0]", "--p", "5", "--alpha", f"w*{k}"]) == 0
+        assert capsys.readouterr().out == "normal form: 2*e[0]\n"
+        assert main(["suite", "paper-examples", "--seed", k, "--json", "-"]) == 0
+        assert f'"seed": {k}\n' in capsys.readouterr().out
+        path = tmp_path / "mat.json"
+        path.write_text(f'{{"matrix": [[{k}]]}}')
+        assert main(["snf", str(path)]) == 0
+        assert capsys.readouterr().out == f"diagonal: [{k}]\ncertified: True\n"
+        assert main(["walker", "normalize", f"{N}1*e[0]", "--p", "5", "--alpha", "w"]) == 2
+        assert capsys.readouterr().err == "error: coefficient of 4301 digits in the term at column 1 is over the limit of 4300 digits\n"
+        path.write_text(f'{{"matrix": [[-{N}1]]}}')
+        assert main(["snf", str(path)]) == 2
+        assert capsys.readouterr().err == "error: field 'matrix[0][0]' holds an integer of 4301 digits, over the limit of 4300 digits\n"
+
+    def test_longest_literals_are_accepted(self, tmp_path, capsys):
+        assert main(["walker", "normalize", f"{N}*e[0]", "--p", "2", "--alpha", f"w*{N}"]) == 0
+        assert capsys.readouterr().out == "normal form: 1*e[0]\n"
+        path = tmp_path / "mat.json"
+        path.write_text(f'{{"matrix": [[-{N}]]}}')
+        assert main(["snf", str(path)]) == 0
+        assert capsys.readouterr().out == f"diagonal: [{N}]\ncertified: True\n"
+
+    def test_large_prime_p_is_decided_at_once(self, capsys):
+        started = time.monotonic()
+        assert main(["walker", "normalize", "e[0]", "--p", "1000000000000000003", "--alpha", "w"]) == 0
+        assert time.monotonic() - started < 1.0
+        assert capsys.readouterr().out == "normal form: 1*e[0]\n"
+
+    @pytest.mark.parametrize("p", ["3317044064679887385961981", "3" * 1000], ids=["at-the-bound", "1000-digits"])
+    def test_p_past_the_primality_bound_exit_two(self, capsys, p):
+        assert main(["walker", "normalize", "e[0]", "--p", p, "--alpha", "w"]) == 2
+        assert capsys.readouterr().err == (
+            "error: p must be below 3317044064679887385961981, where the primality test is exact\n"
+        )
+
+
+X = "x" * 500
+
+
+class TestQuotedUserText:
+    """Every error cuts the user text it quotes to 60 characters: the first 57 and `...`."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["walker", "normalize", "e[0]+" + X, "--p", "2", "--alpha", "w"],
+                "expected a term at column 5: '+" + "x" * 56 + "...'",
+            ),
+            (
+                ["walker", "normalize", "e[0]", "--p", "2", "--alpha", "w " + X],
+                "bad ordinal syntax near ' " + "x" * 56 + "...'",
+            ),
+            (
+                ["walker", "normalize", "e[0]", "--p", "2", "--alpha", "1 " + "9" * 500],
+                "trailing tokens in ordinal: ['" + "9" * 55 + "...",
+            ),
+            (
+                ["walker", "normalize", "e[w " + X + "]", "--p", "2", "--alpha", "w"],
+                "bad index entry 'w " + "x" * 55 + "...' in the term at column 1: "
+                "bad ordinal syntax near ' " + "x" * 56 + "...'",
+            ),
+            (
+                ["walker", "ulm-probe", "0", "--p", "2", "--alpha", "w^(" * 201 + N + ")" * 201],
+                "ordinal nested deeper than 200 parentheses near '(" + "9" * 56 + "...'",
+            ),
+            (["suite", "s" + X], "unknown suite 's" + "x" * 56 + "...'"),
+        ],
+        ids=["element-term", "ordinal-syntax", "trailing-tokens", "index-entry", "nesting", "suite-name"],
+    )
+    def test_long_text_is_cut(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_long_flag_value_is_cut(self, capsys):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value this way
+            main(["suite", "paper-examples", "--seed", "1_" + "0" * 500])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: expected ASCII digits, got '1_" + "0" * 55 + "...'\n")
+
+    def test_long_json_value_is_cut(self, tmp_path, capsys):
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"matrix": [[1], ["x" * 500]]}))
+        assert main(["snf", str(path)]) == 2
+        assert capsys.readouterr().err == "error: field 'matrix[1][0]' must be an integer, got \"" + "x" * 56 + "...\n"
+
+    def test_short_text_is_quoted_whole(self, capsys):
+        exactly = "x" * 58  # with the `+` and ` `, 60 characters
+        assert main(["walker", "normalize", "e[0]+" + exactly, "--p", "2", "--alpha", "w"]) == 2
+        assert capsys.readouterr().err == f"error: expected a term at column 5: '+{exactly}'\n"
+        assert main(["walker", "normalize", "e[0]", "--p", "2", "--alpha", "w " + exactly]) == 2
+        assert capsys.readouterr().err == f"error: bad ordinal syntax near ' {exactly}'\n"
 
 
 def digest_towers():

@@ -496,6 +496,19 @@ class TestOmegaStage:
             far += t.stable_index >= 30 and not all(sub.is_trivial() for sub in reference[0][:-1])
         assert longest >= 2 and deep >= 15 and far >= 10
 
+    def test_infinite_omega_level_raises(self, monkeypatch, tmp_path, capsys):
+        """With the free part kept, the omega stage of Z under 2 is Z, and its image chain never ends."""
+        from limtower import towers
+        from limtower.cli import main
+
+        monkeypatch.setattr(towers, "_prime_to_m_part", lambda sub, m: sub)
+        with pytest.raises(RuntimeError, match="omega stage is not finite at level 0"):
+            stabilize(multiplication_tower(fg_group(0), 2))
+        path = tmp_path / "tower.json"
+        path.write_text('{"kind": "S_of_A", "group": {"free_rank": 1}, "multiplier": 2}')
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: omega stage is not finite at level 0\n"
+
 
 def reference_tail_never_witness(tail: TailSpec, m: int | None) -> str | None:
     """A certificate that the tail's image chain strictly decreases forever.

@@ -4,8 +4,10 @@ import pytest
 
 from limtower.ordinals import DegLexIndex, deglex_compare, ord_compare, ord_from_int, parse_ordinal
 from limtower.walker import (
+    PRIME_BOUND,
     WalkerContext,
     _from_dict,
+    _is_prime,
     add,
     format_element,
     height,
@@ -36,6 +38,34 @@ class TestContext:
             WalkerContext(4, o("w"))
         with pytest.raises(ValueError):
             WalkerContext(1, o("w"))
+
+    def test_primality_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(71)
+        # the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12 prime bases,
+        # and a product of two large primes
+        hard = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                3825123056546413051, 318665857834031151167461, 1000000007 * 998244353]
+        values = [*range(-3, 2000), *hard, PRIME_BOUND - 1]
+        for bits in range(12, PRIME_BOUND.bit_length() + 1):
+            for _ in range(60):
+                n = rng.randrange(2 ** (bits - 1), min(2**bits, PRIME_BOUND))
+                values += [n, sympy.nextprime(n)]
+        primes = 0
+        for n in values:
+            if n < PRIME_BOUND:
+                assert _is_prime(n) == sympy.isprime(n), n
+                primes += _is_prime(n)
+        assert primes > 4000
+        assert not sympy.isprime(PRIME_BOUND)  # so the bound itself must be refused
+
+    def test_p_at_or_past_the_bound_rejected(self):
+        # Miller-Rabin on the first thirteen prime bases takes PRIME_BOUND for a prime
+        assert _is_prime(PRIME_BOUND)
+        for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+            with pytest.raises(ValueError, match=f"p must be below {PRIME_BOUND}"):
+                WalkerContext(p, o("w"))
+        assert WalkerContext(982451653, o("w")).p == 982451653
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
