@@ -7,6 +7,9 @@ The walker layer rewrites elements of the bounded-height modules D'_alpha
 and certifies their transfinite height filtration.
 """
 
+import sys
+from importlib import import_module
+
 from .groups import (
     FgAbGroup,
     GroupMap,
@@ -67,27 +70,22 @@ from .towers import (
     window_shift_map,
     zero_tower,
 )
-from .walker import (
-    WalkerContext,
-    WalkerElement,
-    add,
-    format_element,
-    height,
-    in_p_beta,
-    in_relations,
-    mul_by_p,
-    mul_p_height_step,
-    normalize,
-    parse_element,
-    relation_element,
-    scalar_mul,
-    ulm_probe,
-)
-from .serialize import (
-    SCHEMA_VERSION,
-    analysis_report_to_json,
-    tower_from_json,
-    tower_to_json,
-)
+# Walker and JSON names load their module on first use (PEP 562): a tower
+# caller's cold start compiles neither.  Each access reads the name from the
+# module afresh, and nothing is stored here.
+_LAZY = dict.fromkeys(
+    ("WalkerContext", "WalkerElement", "add", "format_element", "height", "in_p_beta", "in_relations", "mul_by_p",
+     "mul_p_height_step", "normalize", "parse_element", "relation_element", "scalar_mul", "ulm_probe"),
+    "walker",
+) | dict.fromkeys(("SCHEMA_VERSION", "analysis_report_to_json", "tower_from_json", "tower_to_json"), "serialize")
+
+
+def __getattr__(name: str):
+    sub = _LAZY.get(name)
+    if sub is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = sys.modules.get(f"{__name__}.{sub}") or import_module(f"{__name__}.{sub}")
+    return getattr(module, name)
+
 
 __version__ = "0.1.0"

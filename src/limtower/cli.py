@@ -7,8 +7,9 @@ catches an exception.  `main` alone times the command, wraps its fields
 in the report envelope (schema, command, timing_ms), emits the lines and
 the report, and picks the exit code of an exception: 2 on usage or input
 errors, 3 on an internal error (a broken library invariant or any other
-unexpected exception).  JSON reports are schema versioned and byte
-deterministic; timing is emitted as null unless --timing is given.
+unexpected exception); a reader that closes stdout early is not an error.
+JSON reports are schema versioned and byte deterministic; timing is
+emitted as null unless --timing is given.
 
 `main` owns the interpreter's int <-> str digit limit: readers bound input
 digit runs by `ordinals.MAX_DIGITS`, so `main` lifts the limit while a
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -231,7 +233,11 @@ def main(argv=None) -> int:
         fields, lines, code = args.func(args)
         timing_ms = round((time.monotonic() - started) * 1000.0, 3) if args.timing else None
         report = {"schema": SCHEMA_VERSION, "command": command, **fields, "timing_ms": timing_ms}
-        _emit(report, args, lines)
+        try:
+            _emit(report, args, lines)
+            sys.stdout.flush()  # a closed reader shows here, not at exit
+        except BrokenPipeError:  # as after `| head`: the rest goes to devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -201,11 +201,15 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def matrix_kernel_basis(mat: Matrix, n: int) -> list[list[int]]:
-    """Basis of the integer kernel {x in Z^n : mat @ x = 0}, as vectors."""
+    """Basis of the integer kernel {x in Z^n : mat @ x = 0}, as vectors.
+
+    The rows (column j of mat, then e_j) span {(mat @ x, x)}; the rows of
+    its Hermite basis whose mat part is zero span the kernel (Kannan and
+    Bachem, SIAM J. Comput. 1979), and entries stay reduced.
+    """
     m = len(mat)
-    _, _, d, v = _smith_extended(mat, m, n)
-    rank = sum(1 for k in range(min(m, n)) if d[k][k])
-    return [[v[i][k] for i in range(n)] for k in range(rank, n)]
+    rows = [[row[j] for row in mat] + unit_vector(n, j) for j in range(n)]
+    return [list(row[m:]) for row in row_hermite_basis(rows, m + n) if not any(row[:m])]
 
 
 def abs_det(mat: Matrix) -> int:
@@ -766,16 +770,10 @@ def image_of_subgroup(h: GroupMap, sub: Subgroup) -> Subgroup:
 
 def kernel(h: GroupMap) -> Subgroup:
     """Kernel of h, as a subgroup of the domain."""
-    m, n = h.codomain.ngens, h.domain.ngens
-    mat = [list(row) for row in h.matrix]
-    torsion_cols = [i for i, o in enumerate(h.codomain.orders) if o]
-    for i in torsion_cols:
-        col = unit_vector(m, i, h.codomain.orders[i])
-        for r in range(m):
-            mat[r].append(col[r])
-    basis = matrix_kernel_basis(mat, n + len(torsion_cols))
-    gens = [tuple(vec[:n]) for vec in basis]
-    return Subgroup(h.domain, gens)
+    n = h.domain.ngens
+    relations = h.codomain.torsion_rows  # extra columns, whose coefficients are dropped
+    mat = [list(row) + [rel[i] for rel in relations] for i, row in enumerate(h.matrix)]
+    return Subgroup(h.domain, [vec[:n] for vec in matrix_kernel_basis(mat, n + len(relations))])
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def _checked(path: str, build, *args):
 
 
 def _all_ints(values) -> bool:
-    """Whether values is a list of integers: the test `_ints` makes, with no path to name."""
+    """Whether values is a list of integers: the test `_raise_non_int` makes, with no path to name."""
     if type(values) is not list:
         return False
     for v in values:
@@ -100,18 +100,18 @@ def _all_ints(values) -> bool:
     return True
 
 
-def _ints(values, path: str) -> list[int]:
+def _raise_non_int(values, path: str) -> None:
+    """Raise for the first entry that is not an integer; callers know `_all_ints(values)` failed."""
     for k, v in enumerate(_list(values, path)):
         if type(v) is not int:
             raise _bad(f"{path}[{k}]", "an integer", v)
-    return values
 
 
 def _int_rows(value, path: str) -> list[list[int]]:
     rows = _list(value, path)
     for i, row in enumerate(rows):
         if not _all_ints(row):  # a row's path is built only to name what it rejects
-            _ints(row, f"{path}[{i}]")
+            _raise_non_int(row, f"{path}[{i}]")
     return rows
 
 
@@ -128,7 +128,7 @@ def group_from_json(obj: dict, path: str = "group", built: dict | None = None) -
     if not (type(rank) is int and rank >= 0 and _all_ints(factors)):
         if _int(rank, f"{path}.free_rank") < 0:
             raise _bad(f"{path}.free_rank", "a nonnegative integer", rank)
-        _ints(factors, f"{path}.invariant_factors")
+        _raise_non_int(factors, f"{path}.invariant_factors")
     key = (rank, tuple(factors))
     group = built.get(key)
     if group is None:

@@ -21,6 +21,7 @@ of the previous one under the same maps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -678,8 +679,8 @@ def stabilize(s: Tower, horizon: int = DEFAULT_HORIZON) -> Filtration:
     >>> str(g.ml_status), str(g.length), str(g.lim), g.stage(OMEGA).is_trivial()
     ('NeverStabilizes(free summand Z^1 with multiplication by 2)', 'w', '0', True)
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 1 <= horizon <= sys.maxsize - 2:  # islice takes horizon + 2
+        raise ValueError(f"horizon must be between 1 and {sys.maxsize - 2}")
     m = multiplier_of(s.tail.endo) if isinstance(s.tail, ConstantEndo) else None
     witness = _tail_never_witness(s.tail, m)
     if witness is None:

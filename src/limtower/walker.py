@@ -69,7 +69,7 @@ class WalkerContext:
         alpha = self.alpha.key
         if idx.entries[-1].key >= alpha:  # entries increase, so the last one is the largest
             first = next(e for e in idx.entries if e.key >= alpha)
-            raise ValueError(f"index entry {first} is not below alpha = {self.alpha}")
+            raise ValueError(f"index entry {excerpt(str(first))} is not below alpha = {excerpt(str(self.alpha))}")
         return idx
 
     def zero(self) -> "WalkerElement":

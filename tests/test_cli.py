@@ -1,13 +1,16 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import limtower
 from limtower.cli import main
 from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, mat_mul, multiplication_map
 from limtower.ordinals import parse_ordinal
@@ -132,6 +135,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "lim: Z/3" in out
         assert "ml_status: stabilized" in out
+
+    def test_horizon_past_the_stage_limit_exit_two(self, tower_file, capsys):
+        # the pass takes up to horizon + 2 stages through islice, which stops at sys.maxsize
+        assert main(["analyze", tower_file, "--horizon", "100000000000000000000"]) == 2
+        assert capsys.readouterr().err == f"error: horizon must be between 1 and {sys.maxsize - 2}\n"
+        assert main(["analyze", tower_file, "--horizon", str(sys.maxsize - 2)]) == 0
 
     def test_analyze_json_schema(self, tower_file, capsys):
         assert main(["analyze", tower_file, "--json"]) == 0
@@ -631,8 +640,17 @@ class TestQuotedUserText:
                 "ordinal nested deeper than 200 parentheses near '(" + "9" * 56 + "...'",
             ),
             (["suite", "s" + X], "unknown suite 's" + "x" * 56 + "...'"),
+            (
+                ["walker", "normalize", "e[w*" + "9" * 500 + "]", "--p", "2", "--alpha", "w"],
+                "index entry w*" + "9" * 55 + "... is not below alpha = w in the term at column 1",
+            ),
+            (
+                ["walker", "normalize", "e[w^2]", "--p", "2", "--alpha", "w*" + "9" * 500],
+                "index entry w^2 is not below alpha = w*" + "9" * 55 + "... in the term at column 1",
+            ),
         ],
-        ids=["element-term", "ordinal-syntax", "trailing-tokens", "index-entry", "nesting", "suite-name"],
+        ids=["element-term", "ordinal-syntax", "trailing-tokens", "index-entry", "nesting", "suite-name",
+             "entry-past-alpha", "long-alpha"],
     )
     def test_long_text_is_cut(self, capsys, argv, message):
         assert main(argv) == 2
@@ -657,6 +675,50 @@ class TestQuotedUserText:
         assert capsys.readouterr().err == f"error: expected a term at column 5: '+{exactly}'\n"
         assert main(["walker", "normalize", "e[0]", "--p", "2", "--alpha", "w " + exactly]) == 2
         assert capsys.readouterr().err == f"error: bad ordinal syntax near ' {exactly}'\n"
+
+
+CLI = [sys.executable, "-m", "limtower.cli"]
+
+
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(limtower.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("rank, seed", [(22, 1), (22, 2), (48, 1), (48, 2)])
+def test_analyze_answers_a_wide_torsion_tail(tmp_path, rank, seed):
+    """A constant (Z/6)^r tail under a random endomorphism: lim checks the kernel of the stable endomorphism.
+
+    A Smith-form kernel ran past 30 s at r = 22; the Hermite kernel answers
+    r = 48 in well under a second.  The timeout makes a regression fail
+    instead of hanging.
+    """
+    rng = random.Random(seed)
+    group = {"free_rank": 0, "invariant_factors": [6] * rank}
+    endo = {"domain": group, "codomain": group, "matrix": [[rng.randint(0, 5) for _ in range(rank)] for _ in range(rank)]}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"prefix": [], "tail": {"kind": "constant_endo", "group": group, "endo": endo}}))
+    # subprocess.run kills the child on timeout, so a hang cannot outlive the test
+    proc = subprocess.run([*CLI, "analyze", str(path)], env=checkout_env(), capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "ml_status: stabilized" in proc.stdout and "lim1: zero" in proc.stdout
+
+
+def test_closed_reader_ends_quietly(tmp_path):
+    """A reader that stops early, as `head -c 10` does, is not bad input: no error line, the command's own code."""
+    n = 100  # U, D and V of the identity: a report of about 330 KB, far past a pipe's buffer
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[int(i == j) for j in range(n)] for i in range(n)]}))
+    argv = [*CLI, "snf", str(path), "--json", "-"]
+    with subprocess.Popen(argv, env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.read(10) == b"diagonal: "
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
 
 
 def digest_towers():

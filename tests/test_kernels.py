@@ -5,12 +5,14 @@ The reference below is the earlier `_pivot`, `_insert_row` and
 list found by `bisect` and rescanned each row from column 0, the earlier
 `lattice_solve`, which found each pivot by `_pivot` on a copy of its row,
 the earlier `GroupMap.__post_init__`, which reduced every row and checked
-every column, and the earlier `multiplier_of`, which built the
-multiplication map and compared matrices.  They are kept verbatim as
-oracles.  On seeded inputs the current kernel must return the same basis,
-the current solver the same coefficients, the current map check must
-accept the same matrices, store the same reduced matrix and raise the
-same message, and `multiplier_of` must return the same multiplier.
+every column, the earlier `multiplier_of`, which built the
+multiplication map and compared matrices, and the earlier
+`matrix_kernel_basis`, which read the kernel off the Smith form.  They are
+kept verbatim as oracles.  On seeded inputs the current kernel must return
+the same basis, the current solver the same coefficients, the current map
+check must accept the same matrices, store the same reduced matrix and
+raise the same message, `multiplier_of` must return the same multiplier,
+and `matrix_kernel_basis` must span the same lattice.
 """
 
 import random
@@ -24,7 +26,9 @@ from limtower.groups import (
     FgAbGroup,
     GroupMap,
     Vector,
+    _smith_extended,
     lattice_solve,
+    matrix_kernel_basis,
     multiplication_map,
     multiplier_of,
     row_hermite_basis,
@@ -126,6 +130,14 @@ def reference_multiplier_of(h: GroupMap) -> int | None:
         m = h.matrix[len(g.invariant_factors) - 1][len(g.invariant_factors) - 1]
     cand = multiplication_map(g, m)
     return m if cand.matrix == h.matrix else None
+
+
+def reference_matrix_kernel_basis(mat: list[list[int]], n: int) -> list[list[int]]:
+    """Basis of the integer kernel {x in Z^n : mat @ x = 0}, as vectors."""
+    m = len(mat)
+    _, _, d, v = _smith_extended(mat, m, n)
+    rank = sum(1 for k in range(min(m, n)) if d[k][k])
+    return [[v[i][k] for i in range(n)] for k in range(rank, n)]
 
 
 @dataclass(frozen=True)
@@ -412,3 +424,37 @@ class TestMultiplierReference:
         assert multiplier_of(h) is None is reference_multiplier_of(h)
         trivial = GroupMap(GROUPS[0], GROUPS[0], [])
         assert multiplier_of(trivial) == 1 == reference_multiplier_of(trivial)
+
+
+def kernel_cases(sizes, seed: int):
+    """(n, mat): seeded (n - 3) x n matrices with entries in [-9, 9]; every third past n = 4 repeats a row, scaled."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for k in range(3):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 3)]
+            if k == 1 and n > 4:
+                c = rng.choice((-2, 1, 3))
+                mat[-1] = [c * x for x in rng.choice(mat[:-1])]
+            yield n, mat
+
+
+class TestKernelReference:
+    def test_same_lattice_as_the_smith_kernel(self):
+        nullities = set()
+        for n, mat in kernel_cases(range(3, 21), seed=37):
+            got = matrix_kernel_basis(mat, n)
+            assert row_hermite_basis(got, n) == row_hermite_basis(reference_matrix_kernel_basis(mat, n), n), mat
+            nullities.add(len(got))
+        assert nullities == {3, 4}
+
+    def test_large_kernels_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        from sympy.polys.domains import ZZ
+
+        for n, mat in kernel_cases((40, 60), seed=41):
+            got = matrix_kernel_basis(mat, n)
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in mat for vec in got)
+            assert len(got) == len(sympy.Matrix(mat).nullspace())
+            # saturated: the basis extends to a basis of Z^n, so it spans the whole integer kernel
+            assert all(f == 1 for f in invariant_factors(sympy.Matrix(got), domain=ZZ))
