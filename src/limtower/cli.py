@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.set_defaults(func=_cmd_snf)
 
     p_su = sub.add_parser("suite", help="run a named verification suite")
-    p_su.add_argument("name", help="paper-examples or property-suite")
+    p_su.add_argument("name", help=f"one of {', '.join(SUITES)}")
     p_su.add_argument("--seed", type=_ascii_int, default=0)
     _add_json_flag(p_su)
     p_su.set_defaults(func=_cmd_suite)

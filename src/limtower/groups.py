@@ -429,18 +429,6 @@ class FgAbGroup:
             out *= d
         return out
 
-    def element_order(self, vec) -> int | None:
-        """Order of an element; None when infinite."""
-        out = 1
-        for x, o in zip(vec, self.orders):
-            if o == 0:
-                if x:
-                    return None
-                continue
-            k = o // gcd(x % o, o) if x % o else 1
-            out = out * k // gcd(out, k)
-        return out
-
     def elements(self, cap: int = DEFAULT_ENUM_CAP):
         yield from enumerate_elements(self, cap)
 
@@ -519,9 +507,6 @@ class GroupMap:
 
     def is_surjective(self) -> bool:
         return image(self).is_full()
-
-    def is_injective(self) -> bool:
-        return kernel(self).is_trivial()
 
     def __str__(self) -> str:
         return f"[{self.domain}] -> [{self.codomain}] via {[list(r) for r in self.matrix]}"

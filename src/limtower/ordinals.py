@@ -72,13 +72,6 @@ class OrdinalCNF:
             raise ValueError(f"{self} is not finite")
         return self.terms[0][1] if self.terms else 0
 
-    def is_limit(self) -> bool:
-        """True iff nonzero with no final finite part."""
-        return bool(self.terms) and not self.terms[-1][0].is_zero()
-
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero()
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -440,39 +440,33 @@ def _mismatch(tw: Tower, want: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance criteria
+# Acceptance criteria: each returns (passed, detail), and CRITERIA below names it
 
 
-def criterion_snf_certificates(rng: random.Random, trials: int = 500) -> CheckResult:
+def criterion_snf_certificates(rng: random.Random, trials: int) -> tuple[bool, str]:
     """U*M*V = D with unimodular transforms and a divisibility chain."""
     for t in range(trials):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         mat = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         if (problem := smith_certificate_error(mat, *smith_normal_form(mat))) is not None:
-            return CheckResult("snf-certificates", False, f"{problem} at trial {t}")
-    return CheckResult("snf-certificates", True, f"{trials} random matrices certified exactly")
+            return False, f"{problem} at trial {t}"
+    return True, f"{trials} random matrices certified exactly"
 
 
-def criterion_finite_ml(rng: random.Random, trials: int = 200) -> CheckResult:
+def criterion_finite_ml(rng: random.Random, trials: int) -> tuple[bool, str]:
     """Finite towers stabilize; lim equals the thread-enumeration oracle."""
     for t in range(trials):
         tw = random_finite_tower(rng)
         rep = analyze(tw)
         if rep.ml_status.kind != "stabilized":
-            return CheckResult("finite-ml-soundness", False, f"tower {t} did not stabilize: {tw}")
+            return False, f"tower {t} did not stabilize: {tw}"
         if rep.lim1_status.kind != "zero":
-            return CheckResult("finite-ml-soundness", False, f"tower {t} lim1 not zero")
+            return False, f"tower {t} lim1 not zero"
         oracle = thread_limit_oracle(tw, extra=3)
         if rep.lim != oracle:
-            return CheckResult(
-                "finite-ml-soundness",
-                False,
-                f"tower {t}: lim {rep.lim} but thread oracle {oracle}",
-            )
-    return CheckResult(
-        "finite-ml-soundness", True, f"{trials} finite towers: stabilized, lim matches threads"
-    )
+            return False, f"tower {t}: lim {rep.lim} but thread oracle {oracle}"
+    return True, f"{trials} finite towers: stabilized, lim matches threads"
 
 
 def _shift_change(tw: Tower, view: tuple) -> str | None:
@@ -486,15 +480,15 @@ def _shift_change(tw: Tower, view: tuple) -> str | None:
     return None
 
 
-def criterion_shift_invariance() -> CheckResult:
+def criterion_shift_invariance() -> tuple[bool, str]:
     """Shifting drops a level; every status and the limit must survive."""
     for name, tw in corpus_towers():
         if (change := _shift_change(tw, analyze(tw).shift_invariant_view())) is not None:
-            return CheckResult("shift-invariance", False, f"corpus tower {name} changed under {change}")
-    return CheckResult("shift-invariance", True, f"{len(corpus_towers())} corpus towers invariant under shifts")
+            return False, f"corpus tower {name} changed under {change}"
+    return True, f"{len(corpus_towers())} corpus towers invariant under shifts"
 
 
-def criterion_general_tails(rng: random.Random, trials: int = 40) -> CheckResult:
+def criterion_general_tails(rng: random.Random, trials: int) -> tuple[bool, str]:
     """General endomorphism tails survive shifts, and a witnessed one never repeats.
 
     A NeverStabilizes tower's tail level must strictly shrink at every
@@ -506,7 +500,7 @@ def criterion_general_tails(rng: random.Random, trials: int = 40) -> CheckResult
         tw = random_general_tail_tower(rng)
         rep = analyze(tw)
         if (change := _shift_change(tw, rep.shift_invariant_view())) is not None:
-            return CheckResult("general-tails", False, f"tower {t} changed under {change}")
+            return False, f"tower {t} changed under {change}"
         if rep.ml_status.kind != "never":
             continue
         witnessed += 1
@@ -514,15 +508,13 @@ def criterion_general_tails(rng: random.Random, trials: int = 40) -> CheckResult
         levels = [iterate_image(tw, n).sub_at(c) for n in range(10)]
         for n in range(9):
             if levels[n] == levels[n + 1] or not levels[n].contains_subgroup(levels[n + 1]):
-                return CheckResult("general-tails", False, f"tower {t}: witnessed tail level repeats at stage {n}")
-    return CheckResult(
-        "general-tails",
-        True,
-        f"{trials} general tails invariant under shifts; {witnessed} witnessed tail levels shrink at stages 0..8",
+                return False, f"tower {t}: witnessed tail level repeats at stage {n}"
+    return True, (
+        f"{trials} general tails invariant under shifts; {witnessed} witnessed tail levels shrink at stages 0..8"
     )
 
 
-def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> CheckResult:
+def criterion_quotient_vanishing(rng: random.Random, trials: int) -> tuple[bool, str]:
     """S/I^n has trivial limit, and orders factor through the image quotient."""
     checked_eq = 0
     for t in range(trials):
@@ -533,15 +525,11 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
             quot, _ = quotient_tower(tw, stages[n])
             lim_q = stabilize(quot).lim
             if lim_q is None or not lim_q.is_trivial():
-                return CheckResult(
-                    "image-quotient-vanishing", False, f"tower {t}: lim S/I^{n} nonzero"
-                )
+                return False, f"tower {t}: lim S/I^{n} nonzero"
             if t % 10 == 0:
                 oracle = thread_limit_oracle(quot)
                 if not oracle.is_trivial():
-                    return CheckResult(
-                        "image-quotient-vanishing", False, f"tower {t}: thread oracle disagrees at n={n}"
-                    )
+                    return False, f"tower {t}: thread oracle disagrees at n={n}"
         for n in range(0, 6):
             sub_n, _ = subtower(tw, stages[n])
             _, _, step_quot = image_tower(sub_n)
@@ -551,20 +539,12 @@ def criterion_quotient_vanishing(rng: random.Random, trials: int = 120) -> Check
                 lhs = quot_n1.group(i).order()
                 rhs = step_quot.group(i).order() * quot_n.group(i).order()
                 if lhs != rhs:
-                    return CheckResult(
-                        "image-quotient-vanishing",
-                        False,
-                        f"tower {t}: order equation fails at level {i}, stage {n}",
-                    )
+                    return False, f"tower {t}: order equation fails at level {i}, stage {n}"
                 checked_eq += 1
-    return CheckResult(
-        "image-quotient-vanishing",
-        True,
-        f"{trials} towers, stages up to 6: quotients limitless, {checked_eq} order equations hold",
-    )
+    return True, f"{trials} towers, stages up to 6: quotients limitless, {checked_eq} order equations hold"
 
 
-def criterion_closed_forms() -> CheckResult:
+def criterion_closed_forms() -> tuple[bool, str]:
     """The multiplication-family worked examples and Z by 3, cross-checked on raw elements."""
     rows = {corpus_name: want for _, corpus_name, want in _PAPER_EXAMPLES}
     corpus = dict(corpus_towers())
@@ -580,33 +560,27 @@ def criterion_closed_forms() -> CheckResult:
         failures.append("Z/6 by 2: thread oracle mismatch")
     if raw_stage_sets(s6, 1)[0] != set(iterate_image(s6, 1).sub_at(0).element_list()):
         failures.append("Z/6 by 2: raw stage 1 disagrees with subgroup form")
-    if failures:
-        return CheckResult("multiplication-closed-forms", False, "; ".join(failures))
-    return CheckResult(
-        "multiplication-closed-forms",
-        True,
-        "Z/25, Z/6, Z (p=2,3), Z+Z/4 families match closed forms and raw-element oracles",
+    return not failures, "; ".join(failures) or (
+        "Z/25, Z/6, Z (p=2,3), Z+Z/4 families match closed forms and raw-element oracles"
     )
 
 
-def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResult:
+def criterion_decomposition(rng: random.Random, trials: int) -> tuple[bool, str]:
     """E epimorphic, I^len(L) = 0, orders factor; plus a hand-built double."""
     for t in range(trials):
         tw = random_decidable_tower(rng)
         dec = stabilize(tw).decompose()
         if not is_epimorphic_tower(dec.epimorphic_part):
-            return CheckResult("decomposition-signature", False, f"tower {t}: E not epimorphic")
+            return False, f"tower {t}: E not epimorphic"
         filt = dec.limitless
         if filt.length.kind != "exact":
-            return CheckResult("decomposition-signature", False, f"tower {t}: L length undecided")
+            return False, f"tower {t}: L length undecided"
         if not filt.stage(filt.length.value).is_trivial():
-            return CheckResult("decomposition-signature", False, f"tower {t}: I^len(L) nonzero")
+            return False, f"tower {t}: I^len(L) nonzero"
         for i in range(tw.stable_index + 1):
             if tw.group(i).is_finite():
                 if tw.group(i).order() != dec.epimorphic_part.group(i).order() * filt.tower.group(i).order():
-                    return CheckResult(
-                        "decomposition-signature", False, f"tower {t}: order factorization fails at level {i}"
-                    )
+                    return False, f"tower {t}: order factorization fails at level {i}"
     # a second decomposition of S(Z/6, 2), built by hand from the 3-part
     s6 = multiplication_tower(fg_group(6), 2)
     auto = stabilize(s6).decompose()
@@ -619,18 +593,16 @@ def criterion_decomposition(rng: random.Random, trials: int = 100) -> CheckResul
         is_null_tower(auto.limitless.tower) and is_null_tower(hand_l),
     ]
     if not all(checks):
-        return CheckResult("decomposition-signature", False, "hand-built decomposition disagrees")
-    return CheckResult(
-        "decomposition-signature", True, f"{trials} decidable towers decomposed; hand-built double agrees"
-    )
+        return False, "hand-built decomposition disagrees"
+    return True, f"{trials} decidable towers decomposed; hand-built double agrees"
 
 
-def criterion_locality_closure(rng: random.Random, trials: int = 100) -> CheckResult:
+def criterion_locality_closure(rng: random.Random, trials: int) -> tuple[bool, str]:
     """Null extensions and finite products of local towers stay local."""
     for t in range(trials):
         base = random_local_tower(rng)
         if stabilize(base).is_local() is not True:
-            return CheckResult("locality-closure", False, f"generator produced a non-local tower at {t}")
+            return False, f"generator produced a non-local tower at {t}"
         k = rng.randint(1, 3)
         n_groups = [random_finite_group(rng, 8) for _ in range(k)]
         n_tower = null_tower(n_groups)
@@ -642,20 +614,18 @@ def criterion_locality_closure(rng: random.Random, trials: int = 100) -> CheckRe
         tail_psi = zero_map(base.group(horizon_levels + 1), n_tower.group(horizon_levels))
         ext = null_extension(base, n_tower, psis, tail_psi)
         if stabilize(ext).is_local() is not True:
-            return CheckResult("locality-closure", False, f"null extension at {t} is not local")
+            return False, f"null extension at {t} is not local"
         other = random_local_tower(rng)
         prod = limit_of_towers([base, other])
         if stabilize(prod).is_local() is not True:
-            return CheckResult("locality-closure", False, f"product at {t} is not local")
-    return CheckResult(
-        "locality-closure", True, f"{trials} null extensions and products of local towers stayed local"
-    )
+            return False, f"product at {t} is not local"
+    return True, f"{trials} null extensions and products of local towers stayed local"
 
 
-def criterion_walker_normal_form(rng: random.Random, total_trials: int = 10_000) -> CheckResult:
+def criterion_walker_normal_form(rng: random.Random, trials: int) -> tuple[bool, str]:
     """Idempotence, relation invariance, confluence, leading-index contract."""
     combos = [(p, a) for p in (2, 3, 5) for a in ("w", "w*2+3")]
-    per = -(-total_trials // len(combos))
+    per = -(-trials // len(combos))
     done = 0
     for p, alpha_text in combos:
         ctx = wk.WalkerContext(p, parse_ordinal(alpha_text))
@@ -663,7 +633,7 @@ def criterion_walker_normal_form(rng: random.Random, total_trials: int = 10_000)
             x = random_walker_element(rng, ctx)
             nx = wk.normalize(x)
             if wk.normalize(nx) != nx:
-                return CheckResult("walker-normal-form", False, f"idempotence fails at p={p}, {alpha_text}, trial {t}")
+                return False, f"idempotence fails at p={p}, {alpha_text}, trial {t}"
             shifted = x
             for _ in range(rng.randint(0, 3)):
                 r = wk.relation_element(ctx, random_walker_index(rng, ctx))
@@ -671,16 +641,14 @@ def criterion_walker_normal_form(rng: random.Random, total_trials: int = 10_000)
                 raw_terms = list(shifted.support) + [(k, c * v) for k, v in r.element.support]
                 shifted = ctx.element(raw_terms)
             if wk.normalize(shifted) != nx:
-                return CheckResult("walker-normal-form", False, f"relation invariance fails at p={p}, trial {t}")
+                return False, f"relation invariance fails at p={p}, trial {t}"
             if normalize_random_order(ctx, x, rng) != nx:
-                return CheckResult("walker-normal-form", False, f"confluence fails at p={p}, trial {t}")
+                return False, f"confluence fails at p={p}, trial {t}"
             if x.support and nx.support:
                 if nx.leading_index() > x.leading_index():
-                    return CheckResult("walker-normal-form", False, f"leading index grew at p={p}, trial {t}")
+                    return False, f"leading index grew at p={p}, trial {t}"
             done += 1
-    return CheckResult(
-        "walker-normal-form", True, f"{done} raw elements across p in (2,3,5), alpha in (w, w*2+3)"
-    )
+    return True, f"{done} raw elements across p in (2,3,5), alpha in (w, w*2+3)"
 
 
 def _ulm_samples(alpha: OrdinalCNF) -> list[OrdinalCNF]:
@@ -697,7 +665,7 @@ def _ulm_samples(alpha: OrdinalCNF) -> list[OrdinalCNF]:
     return out
 
 
-def criterion_ulm_length() -> CheckResult:
+def criterion_ulm_length() -> tuple[bool, str]:
     """Every stage below alpha is inhabited exactly; stage alpha is zero."""
     alphas = ["1", "5", "w", "w+3", "w*2", "w*2+3"]
     probes = 0
@@ -708,23 +676,21 @@ def criterion_ulm_length() -> CheckResult:
             sample = _ulm_samples(alpha)
             rep = wk.ulm_probe(ctx, sample)
             if not (rep.ok and rep.top_stage_trivial):
-                return CheckResult("ulm-length", False, f"probe failed at alpha={alpha_text}, p={p}")
+                return False, f"probe failed at alpha={alpha_text}, p={p}"
             for beta in sample:
                 x = ctx.basis([beta])
                 seen = [wk.height(x)]
                 while not x.is_zero():
                     step = wk.mul_p_height_step(x)
                     if not step.ok:
-                        return CheckResult(
-                            "ulm-length", False, f"height did not climb at alpha={alpha_text}, beta={beta}"
-                        )
+                        return False, f"height did not climb at alpha={alpha_text}, beta={beta}"
                     x = wk.mul_by_p(x)
                     seen.append(wk.height(x))
                 for a, b in zip(seen, seen[1:]):
                     if a >= b:
-                        return CheckResult("ulm-length", False, f"heights not strictly increasing at {alpha_text}")
+                        return False, f"heights not strictly increasing at {alpha_text}"
                 probes += 1
-    return CheckResult("ulm-length", True, f"{probes} sampled stages across 6 bounds, heights exact and climbing")
+    return True, f"{probes} sampled stages across 6 bounds, heights exact and climbing"
 
 
 def _small_adjunction_towers() -> list[Tower]:
@@ -744,7 +710,7 @@ def _small_adjunction_towers() -> list[Tower]:
     ]
 
 
-def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult:
+def criterion_adjunction_window() -> tuple[bool, str]:
     """Hom-set bijections for truncated constant sources; window operator inverses."""
     sources = [fg_group(2), fg_group(4), fg_group(2, 2)]
     towers = _small_adjunction_towers()
@@ -753,9 +719,7 @@ def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult
         for n in range(4):
             for k, tw in enumerate(towers):
                 if not truncation_adjunction_check(a, n, tw):
-                    return CheckResult(
-                        "adjunction-and-window", False, f"bijection fails for {a}, n={n}, tower {k}"
-                    )
+                    return False, f"bijection fails for {a}, n={n}, tower {k}"
                 checks += 1
     windows = 0
     for _, tw in corpus_towers():
@@ -772,11 +736,51 @@ def criterion_adjunction_window(rng: random.Random | None = None) -> CheckResult
                 inv = GroupMap(d.domain, d.domain, mat_add(inv.matrix, power.matrix))
             ident = identity_map(d.domain).matrix
             if d.compose(inv).matrix != ident or inv.compose(d).matrix != ident:
-                return CheckResult("adjunction-and-window", False, f"window inverse fails at W={w}")
+                return False, f"window inverse fails at W={w}"
             windows += 1
-    return CheckResult(
-        "adjunction-and-window", True, f"{checks} hom-set bijections, {windows} window inverses verified"
-    )
+    return True, f"{checks} hom-set bijections, {windows} window inverses verified"
+
+
+# ---------------------------------------------------------------------------
+# The criteria table: the only place that names a criterion, seeds it and sizes it
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion and the suites that run it.
+
+    `check` takes (rng, trials) and returns (passed, detail); a fixed check
+    has no seed offset and takes no argument.  `trials` maps each suite that
+    runs the row to its trial count there, None for a fixed check.
+    """
+
+    name: str
+    check: object
+    seed_offset: int | None
+    trials: dict[str, int | None]
+
+    def run(self, suite: str, seed: int) -> CheckResult:
+        """The row's result in `suite`, its rng seeded at seed + its offset."""
+        if self.seed_offset is None:
+            passed, detail = self.check()
+        else:
+            passed, detail = self.check(random.Random(seed + self.seed_offset), self.trials[suite])
+        return CheckResult(self.name, passed, detail)
+
+
+CRITERIA = (
+    Criterion("snf-certificates", criterion_snf_certificates, 0, {"property-suite": 300, "acceptance": 500}),
+    Criterion("finite-ml-soundness", criterion_finite_ml, 1, {"property-suite": 120, "acceptance": 200}),
+    Criterion("shift-invariance", criterion_shift_invariance, None, {"acceptance": None}),
+    Criterion("image-quotient-vanishing", criterion_quotient_vanishing, 2, {"property-suite": 60, "acceptance": 120}),
+    Criterion("multiplication-closed-forms", criterion_closed_forms, None, {"acceptance": None}),
+    Criterion("decomposition-signature", criterion_decomposition, 3, {"property-suite": 60, "acceptance": 100}),
+    Criterion("locality-closure", criterion_locality_closure, 4, {"property-suite": 60, "acceptance": 100}),
+    Criterion("walker-normal-form", criterion_walker_normal_form, 5, {"property-suite": 3000, "acceptance": 10_000}),
+    Criterion("ulm-length", criterion_ulm_length, None, {"acceptance": None}),
+    Criterion("adjunction-and-window", criterion_adjunction_window, None, {"acceptance": None}),
+    Criterion("general-tails", criterion_general_tails, 6, {"property-suite": 40, "acceptance": 40}),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +796,7 @@ def paper_examples_suite() -> list[CheckResult]:
         out.append(CheckResult(name, not problems, problems or "as expected"))
 
     # shift invariance across the whole corpus
-    shift_check = criterion_shift_invariance()
-    out.append(CheckResult("shift-invariance-corpus", shift_check.passed, shift_check.detail))
+    out.append(CheckResult("shift-invariance-corpus", *criterion_shift_invariance()))
 
     # walker scenarios
     ctx1 = wk.WalkerContext(2, parse_ordinal("1"))
@@ -833,21 +836,19 @@ def paper_examples_suite() -> list[CheckResult]:
 
 def property_suite(seed: int = 0) -> list[CheckResult]:
     """The randomized property corpus at a fixed seed."""
-    return [
-        criterion_snf_certificates(random.Random(seed), trials=300),
-        criterion_finite_ml(random.Random(seed + 1), trials=120),
-        criterion_quotient_vanishing(random.Random(seed + 2), trials=60),
-        criterion_decomposition(random.Random(seed + 3), trials=60),
-        criterion_locality_closure(random.Random(seed + 4), trials=60),
-        criterion_walker_normal_form(random.Random(seed + 5), total_trials=3000),
-        criterion_general_tails(random.Random(seed + 6)),
-    ]
+    return criteria_suite("property-suite", seed)
+
+
+def criteria_suite(suite: str, seed: int) -> list[CheckResult]:
+    """Each row of CRITERIA that gives `suite` a scale, run at that scale."""
+    return [c.run(suite, seed) for c in CRITERIA if suite in c.trials]
 
 
 # Each named suite, run at a seed; the fixed corpus ignores it.
 SUITES = {
     "paper-examples": lambda seed: paper_examples_suite(),
     "property-suite": property_suite,
+    "acceptance": lambda seed: criteria_suite("acceptance", seed),
 }
 
 

@@ -270,8 +270,8 @@ def _full_stage(s: Tower) -> tuple[Subgroup, ...]:
 
 def iterate_image(s: Tower, n: int) -> FiltrationStage:
     """I^n(S): at level i, the image of the n-fold composite S_{i+n} -> S_i."""
-    if n < 0:
-        raise ValueError("negative stage")
+    if not 0 <= n <= sys.maxsize - 1:  # islice takes n + 1
+        raise ValueError(f"stage must be between 0 and {sys.maxsize - 1}")
     # the chain ends at its first repeat, which holds at every later stage
     *_, subs = islice(_image_stages(s, _full_stage(s)), n + 1)
     return FiltrationStage(ord_from_int(n), subs, True, ord_from_int(n))

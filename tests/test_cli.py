@@ -23,6 +23,7 @@ from limtower.serialize import (
     tower_to_json,
 )
 from limtower.suites import (
+    CRITERIA,
     corpus_towers,
     random_decidable_tower,
     random_finite_group,
@@ -793,6 +794,31 @@ def test_suite_output_matches_the_recorded_digest(args, recorded, capsys):
     """
     assert main(["suite", *args, "--json", "-"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+# The detail of each criterion the acceptance gate ran at commit 5a9daeb, before it read the criteria table
+GATE_DETAILS = {
+    "snf-certificates": "500 random matrices certified exactly",
+    "finite-ml-soundness": "200 finite towers: stabilized, lim matches threads",
+    "shift-invariance": "10 corpus towers invariant under shifts",
+    "image-quotient-vanishing": "120 towers, stages up to 6: quotients limitless, 2010 order equations hold",
+    "multiplication-closed-forms": "Z/25, Z/6, Z (p=2,3), Z+Z/4 families match closed forms and raw-element oracles",
+    "decomposition-signature": "100 decidable towers decomposed; hand-built double agrees",
+    "locality-closure": "100 null extensions and products of local towers stayed local",
+    "walker-normal-form": "10002 raw elements across p in (2,3,5), alpha in (w, w*2+3)",
+    "ulm-length": "54 sampled stages across 6 bounds, heights exact and climbing",
+    "adjunction-and-window": "120 hom-set bijections, 36 window inverses verified",
+}
+
+
+def test_acceptance_suite_runs_every_row_of_the_criteria_table(capsys):
+    assert main(["suite", "acceptance", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("\n{") :])
+    assert report["total"] == len(CRITERIA)
+    assert [r["name"] for r in report["results"]] == sorted(row.name for row in CRITERIA)
+    details = {r["name"]: r["detail"] for r in report["results"]}
+    assert {name: details[name] for name in GATE_DETAILS} == GATE_DETAILS
 
 
 def digest_matrices():

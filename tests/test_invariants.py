@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import limtower
-from limtower import towers
+from limtower import suites, towers
 from limtower.groups import fg_group
 from limtower.towers import image_tower, multiplication_tower
 
@@ -30,6 +30,13 @@ def test_broken_invariant_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(towers, "is_null_tower", lambda t: False)
     with pytest.raises(RuntimeError, match="null tower"):
         image_tower(s)
+
+
+def test_every_criterion_is_a_row_the_gate_runs():
+    # a criterion outside the table, or a row without an acceptance scale, is reachable only from tests
+    defined = {name for name, obj in vars(suites).items() if name.startswith("criterion_") and callable(obj)}
+    assert defined - {row.check.__name__ for row in suites.CRITERIA} == set()
+    assert [row.name for row in suites.CRITERIA if "acceptance" not in row.trials] == []
 
 
 def _cache_decorators(tree) -> list[int]:
