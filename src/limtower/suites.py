@@ -787,6 +787,12 @@ CRITERIA = (
 # Named suites
 
 
+def _scenario(name: str, detail: str, conditions: dict[str, bool]) -> CheckResult:
+    """Passes with `detail` when every condition holds; otherwise the detail names each one that does not."""
+    broken = [what for what, holds in conditions.items() if not holds]
+    return CheckResult(name, not broken, f"failed: {'; '.join(broken)}" if broken else detail)
+
+
 def paper_examples_suite() -> list[CheckResult]:
     """The fixed worked-example corpus, one result per scenario."""
     corpus = dict(corpus_towers())
@@ -801,19 +807,27 @@ def paper_examples_suite() -> list[CheckResult]:
     # walker scenarios
     ctx1 = wk.WalkerContext(2, parse_ordinal("1"))
     e0 = ctx1.basis([parse_ordinal("0")])
-    ok1 = (not e0.is_zero()) and wk.mul_by_p(e0).is_zero() and str(wk.height(e0)) == "0"
-    out.append(CheckResult("walker-alpha-1", ok1, "p*e[0] = 0 and e[0] nonzero" if ok1 else "failed"))
+    out.append(_scenario("walker-alpha-1", "p*e[0] = 0 and e[0] nonzero", {
+        "e[0] nonzero": not e0.is_zero(),
+        "p*e[0] = 0": wk.mul_by_p(e0).is_zero(),
+        "height(e[0]) = 0": str(wk.height(e0)) == "0",
+    }))
 
     ctx = wk.WalkerContext(2, parse_ordinal("w*2+3"))
     e01 = ctx.basis([parse_ordinal("0"), parse_ordinal("1")])
     e1 = ctx.basis([parse_ordinal("1")])
-    ok2 = wk.add(e01, e01) == e1 and wk.add(e1, e1).is_zero() and wk.mul_by_p(e01) == e1
-    out.append(CheckResult("walker-carry-chain-p2", ok2, "e[0,1]+e[0,1] = e[1], e[1]+e[1] = 0" if ok2 else "failed"))
+    out.append(_scenario("walker-carry-chain-p2", "e[0,1]+e[0,1] = e[1], e[1]+e[1] = 0", {
+        "e[0,1]+e[0,1] = e[1]": wk.add(e01, e01) == e1,
+        "e[1]+e[1] = 0": wk.add(e1, e1).is_zero(),
+        "p*e[0,1] = e[1]": wk.mul_by_p(e01) == e1,
+    }))
 
     sample = [parse_ordinal(s) for s in ("0", "5", "w", "w+1", "w*2+2")]
     rep_probe = wk.ulm_probe(ctx, sample)
-    ok3 = rep_probe.ok and rep_probe.top_stage_trivial
-    out.append(CheckResult("walker-ulm-w2-3", ok3, "5 sampled heights exact; top stage trivial" if ok3 else "failed"))
+    out.append(_scenario("walker-ulm-w2-3", "5 sampled heights exact; top stage trivial", {
+        "sampled heights exact": rep_probe.ok,
+        "top stage trivial": rep_probe.top_stage_trivial,
+    }))
 
     ctx3 = wk.WalkerContext(3, parse_ordinal("w"))
     rels = [
@@ -824,12 +838,16 @@ def paper_examples_suite() -> list[CheckResult]:
     combo = ctx3.zero()
     for i, r in enumerate(rels):
         combo = wk.add(combo, wk.scalar_mul(2 * i + 1, r.element))
-    ok4 = wk.in_relations(combo) and not wk.in_relations(ctx3.basis([parse_ordinal("3")]))
-    out.append(CheckResult("walker-relations-p3", ok4, "relation combos vanish; basis classes do not" if ok4 else "failed"))
+    out.append(_scenario("walker-relations-p3", "relation combos vanish; basis classes do not", {
+        "relation combos vanish": wk.in_relations(combo),
+        "basis class e[3] nonzero": not wk.in_relations(ctx3.basis([parse_ordinal("3")])),
+    }))
 
-    ok5 = truncation_adjunction_check(fg_group(2), 0, constant_tower(fg_group(2)))
-    ok5 = ok5 and truncation_adjunction_check(fg_group(2), 1, null_tower([fg_group(2), TRIVIAL_GROUP]))
-    out.append(CheckResult("adjunction-z2-small", ok5, "hom-set bijections hold" if ok5 else "failed"))
+    z2 = fg_group(2)
+    out.append(_scenario("adjunction-z2-small", "hom-set bijections hold", {
+        "hom-set bijection at n = 0, constant Z/2": truncation_adjunction_check(z2, 0, constant_tower(z2)),
+        "hom-set bijection at n = 1, null Z/2": truncation_adjunction_check(z2, 1, null_tower([z2, TRIVIAL_GROUP])),
+    }))
 
     return out
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cached_property
 from itertools import islice
 from math import gcd
@@ -398,9 +397,15 @@ class Lim1Status:
 
 
 def _decimal(n: int) -> str:
-    """n in base 10, in full: `str` refuses integers past a digit limit
-    (4300 by default), and a `Decimal` of an int is exact with none."""
-    return str(Decimal(n))
+    """n in base 10, in full.  `str` refuses integers past the interpreter's
+    digit limit (4300 by default); only then is `decimal` imported, since a
+    `Decimal` of an int is exact with no limit."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
 
 
 def _tail_never_witness(tail: TailSpec, m: int | None) -> str | None:

@@ -12,7 +12,7 @@ import pytest
 
 import limtower
 from limtower.cli import main
-from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, mat_mul, multiplication_map
+from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, image, mat_mul, multiplication_map
 from limtower.ordinals import parse_ordinal
 from limtower.serialize import (
     SCHEMA_VERSION,
@@ -510,6 +510,24 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "analyze", broken)
         assert main(["analyze", tower_file]) == 3
         assert "internal error: KeyError: 'stage'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n, target, wrong, message",
+        [
+            # Z/6 by 2: the stable endomorphism of Z/3 is given itself as its kernel
+            (6, "limtower.towers.kernel", image, "surjective endomorphism with kernel on a f.g. group"),
+            # Z/4 by 2 is local, and its limit is read as Z/2
+            (4, "limtower.towers.Filtration.lim", property(lambda self: fg_group(2)), "local tower must have lim = lim1 = 0"),
+        ],
+        ids=["kernel-on-the-stable-stage", "local-tower-with-a-limit"],
+    )
+    def test_broken_limit_check_inside_analyze_exit_three(self, tmp_path, monkeypatch, capsys, n, target, wrong, message):
+        monkeypatch.setattr(target, wrong)
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(tower_to_json(multiplication_tower(fg_group(n), 2))))
+        assert main(["analyze", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"internal error: RuntimeError: {message}\n", "")
 
     def test_seed_changes_property_suite_input(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

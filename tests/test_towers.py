@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import weakref
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -660,9 +661,20 @@ class TestWitnessFromPivots:
             want = [str(n) for n in cases]
         finally:
             sys.set_int_max_str_digits(limit)
-        assert got == want
+        assert got == want == [str(Decimal(n)) for n in cases]
         assert 0 < limit < max(map(len, want))
         assert _decimal(12345678901234567890) == "12345678901234567890"
+
+    def test_witness_holds_every_digit_past_a_low_limit(self):
+        m = 10**999 + 123456789  # 1000 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            witness = stabilize(multiplication_tower(fg_group(0), m)).ml_status.witness
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert witness == f"free summand Z^1 with multiplication by {m}"
+        assert len(str(m)) == 1000
 
 
 class TestStatuses:
