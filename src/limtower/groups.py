@@ -402,15 +402,6 @@ class FgAbGroup:
     def zero(self) -> Vector:
         return (0,) * self.ngens
 
-    def add(self, x, y) -> Vector:
-        return tuple((a + b) % o if o else a + b for a, b, o in zip(x, y, self.orders))
-
-    def neg(self, x) -> Vector:
-        return tuple((-a) % o if o else -a for a, o in zip(x, self.orders))
-
-    def sub(self, x, y) -> Vector:
-        return self.add(x, self.neg(y))
-
     def scale(self, k: int, x) -> Vector:
         return tuple((k * a) % o if o else k * a for a, o in zip(x, self.orders))
 
@@ -429,8 +420,14 @@ class FgAbGroup:
             out *= d
         return out
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP):
-        yield from enumerate_elements(self, cap)
+    def elements(self):
+        """Iterate every element of a finite group; raises past DEFAULT_ENUM_CAP."""
+        order = self.order()
+        if order is None:
+            raise ValueError("cannot enumerate an infinite group")
+        if order > DEFAULT_ENUM_CAP:
+            raise ValueError(f"group order {order} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
+        yield from itertools.product(*[range(d) for d in self.invariant_factors])
 
     def __str__(self) -> str:
         parts = []
@@ -443,18 +440,6 @@ class FgAbGroup:
 
 
 TRIVIAL_GROUP = FgAbGroup(0, ())
-
-
-def enumerate_elements(group: FgAbGroup, cap: int = DEFAULT_ENUM_CAP):
-    """Iterate every element of a finite group; raises past the cap."""
-    order = group.order()
-    if order is None:
-        raise ValueError("cannot enumerate an infinite group")
-    if order > cap:
-        raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
-    ranges = [range(d) for d in group.invariant_factors]
-    for combo in itertools.product(*ranges):
-        yield tuple(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -557,29 +542,35 @@ def multiplier_of(h: GroupMap) -> int | None:
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """Canonical form of Z^n modulo a relation row span, with transport.
-
-    to_canonical (k x n) sends old coordinates to canonical ones;
-    lift (n x k) sends a canonical generator to a representative.
-    to_canonical @ lift is the identity modulo the relations.
-    """
+class QuotientData:
+    """A quotient group with its projection and a chosen section."""
 
     group: FgAbGroup
-    to_canonical: tuple[Vector, ...]
+    projection: GroupMap
+
+    # representative in the source for each canonical generator
     lift: tuple[Vector, ...]
 
-    def project(self, vec) -> Vector:
-        return self.group.reduce(mat_vec(self.to_canonical, vec))
+    def section(self, vec) -> Vector:
+        """A source element mapping onto `vec` under the projection."""
+        return self.projection.domain.reduce(mat_vec(self.lift, vec))
 
 
-def group_from_presentation(num_generators: int, relations: list[list[int]] | list[Vector]) -> Presentation:
-    """Canonicalize Z^num_generators modulo the row span of `relations`.
+def group_from_presentation(source: FgAbGroup, relations: list[list[int]] | tuple[Vector, ...]) -> QuotientData:
+    """Canonicalize `source` modulo the row span of `relations`, with transport.
 
-    >>> group_from_presentation(2, [[2, 0], [0, 3]]).group
+    Relations are vectors over the generators of `source`, and their span
+    must contain its torsion rows, as the basis of a `Subgroup` does;
+    otherwise the projection is not a homomorphism, and building it raises.
+    The projection after `section` is the identity of the canonical group.
+
+    >>> q = group_from_presentation(FgAbGroup(2), [[2, 0], [0, 3]])
+    >>> q.group
     FgAbGroup(free_rank=0, invariant_factors=(6,))
+    >>> q.projection.apply((1, 0)), q.projection.apply(q.section((1,)))
+    ((3,), (1,))
     """
-    n = num_generators
+    n = source.ngens
     rel = [list(r) for r in relations]
     for r in rel:
         if len(r) != n:
@@ -602,7 +593,7 @@ def group_from_presentation(num_generators: int, relations: list[list[int]] | li
     group = FgAbGroup(len(free), tuple(diag[k] for k in torsion))
     to_canonical = tuple(tuple(u[k][j] for j in range(n)) for k in kept)
     lift = tuple(tuple(uinv[i][k] for k in kept) for i in range(n))
-    return Presentation(group, to_canonical, lift)
+    return QuotientData(group, GroupMap(source, group, to_canonical), lift)
 
 
 def fg_group(*cyclic_orders: int) -> FgAbGroup:
@@ -613,7 +604,7 @@ def fg_group(*cyclic_orders: int) -> FgAbGroup:
     """
     n = len(cyclic_orders)
     rel = [unit_vector(n, i, o) for i, o in enumerate(cyclic_orders) if o]
-    return group_from_presentation(n, rel).group
+    return group_from_presentation(FgAbGroup(n), rel).group
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +681,7 @@ class Subgroup:
         return self._trivial
 
     @cached_property
-    def _form(self) -> Presentation:
+    def _form(self) -> QuotientData:
         # present lattice/torsion: generators = basis rows, relations =
         # ambient torsion rows written in basis coordinates
         rels = []
@@ -699,7 +690,7 @@ class Subgroup:
             if coeffs is None:  # torsion rows are folded into every lattice
                 raise RuntimeError("ambient torsion row outside the subgroup lattice")
             rels.append(coeffs)
-        return group_from_presentation(len(self.basis), rels)
+        return group_from_presentation(FgAbGroup(len(self.basis)), rels)
 
     def as_group(self) -> FgAbGroup:
         return self._form.group
@@ -709,22 +700,22 @@ class Subgroup:
 
     def include(self) -> GroupMap:
         """Inclusion of the canonical form into the ambient group."""
-        pres, basis = self._form, self.basis
+        form, basis = self._form, self.basis
         # canonical generator k lifts to sum_r lift[r][k] * basis[r]: column k of basis^T @ lift
-        mat = mat_mul(_transpose(basis, len(basis), self.ambient.ngens), pres.lift, pres.group.ngens)
-        return GroupMap(pres.group, self.ambient, mat)
+        mat = mat_mul(_transpose(basis, len(basis), self.ambient.ngens), form.lift, form.group.ngens)
+        return GroupMap(form.group, self.ambient, mat)
 
     def coords(self, vec) -> Vector:
         """Coordinates of an ambient element (must lie in the subgroup)."""
         coeffs = lattice_solve(self.basis, self.ambient.reduce(vec))
         if coeffs is None:
             raise ValueError("element is not in the subgroup")
-        return self._form.project(tuple(coeffs))
+        return self._form.projection.apply(coeffs)
 
-    def element_list(self, cap: int = DEFAULT_ENUM_CAP) -> list[Vector]:
+    def element_list(self) -> list[Vector]:
         """All elements, as ambient coordinate vectors."""
         inc = self.include()
-        return [inc.apply(x) for x in self.as_group().elements(cap)]
+        return [inc.apply(x) for x in self.as_group().elements()]
 
     def __str__(self) -> str:
         return f"<{self.as_group()} inside {self.ambient}>"
@@ -761,33 +752,11 @@ def kernel(h: GroupMap) -> Subgroup:
     return Subgroup(h.domain, [vec[:n] for vec in matrix_kernel_basis(mat, n + len(relations))])
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    """A quotient group with its projection and a chosen section."""
-
-    group: FgAbGroup
-    projection: GroupMap
-
-    # representative in the source for each canonical generator
-    lift: tuple[Vector, ...]
-
-    def section(self, vec) -> Vector:
-        """A source element mapping onto `vec` under the projection."""
-        return self.projection.domain.reduce(mat_vec(self.lift, vec))
-
-
 def quotient_by_subgroup(ambient: FgAbGroup, sub: Subgroup) -> QuotientData:
     """ambient / sub with transport maps."""
     if sub.ambient != ambient:
         raise ValueError("subgroup of a different group")
-    pres = group_from_presentation(ambient.ngens, [list(r) for r in sub.basis])
-    proj = GroupMap(ambient, pres.group, pres.to_canonical)
-    return QuotientData(pres.group, proj, pres.lift)
-
-
-def cokernel(h: GroupMap) -> QuotientData:
-    """Cokernel of h: codomain / image(h), with the projection map."""
-    return quotient_by_subgroup(h.codomain, image(h))
+    return group_from_presentation(ambient, sub.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -814,21 +783,15 @@ def direct_sum(groups: list[FgAbGroup] | tuple[FgAbGroup, ...]) -> DirectSum:
         for i, o in enumerate(g.orders):
             if o:
                 rel.append(unit_vector(total, off + i, o))
-    pres = group_from_presentation(total, rel)
-    big = pres.group
+    form = group_from_presentation(FgAbGroup(total), rel)
+    big = form.group
     injections = []
     projections = []
     for g, off in zip(groups, offsets):
         n = g.ngens
-        inj_mat = tuple(
-            tuple(pres.to_canonical[i][off + j] for j in range(n))
-            for i in range(big.ngens)
-        )
+        inj_mat = tuple(row[off:off + n] for row in form.projection.matrix)
         injections.append(GroupMap(g, big, inj_mat))
-        proj_mat = tuple(
-            tuple(pres.lift[off + i][k] for k in range(big.ngens)) for i in range(n)
-        )
-        projections.append(GroupMap(big, g, proj_mat))
+        projections.append(GroupMap(big, g, form.lift[off:off + n]))
     return DirectSum(big, tuple(injections), tuple(projections))
 
 
@@ -839,7 +802,7 @@ def direct_sum(groups: list[FgAbGroup] | tuple[FgAbGroup, ...]) -> DirectSum:
 def annihilator_elements(group: FgAbGroup, d: int) -> list[Vector]:
     """All x with d*x = 0; requires d > 0 or a finite group."""
     if d == 0:
-        return [tuple(x) for x in enumerate_elements(group)]
+        return list(group.elements())
     per_coord = []
     for o in group.orders:
         if o == 0:

@@ -126,15 +126,15 @@ def group_from_elements(ambient: FgAbGroup, elems) -> FgAbGroup:
     return FgAbGroup(0, tuple(sorted(invs)))
 
 
-def thread_limit_oracle(t: Tower, extra: int = 3) -> FgAbGroup:
-    """lim by brute force: stabilize the head set at a deep constant level.
+def thread_limit_oracle(t: Tower) -> FgAbGroup:
+    """lim by brute force: stabilize the head set three levels past the stable index.
 
     An element heads an infinite thread iff it stays in every iterated
     image of the tail map; on raw element sets that is plain set iteration,
     and threads are determined by their heads because the maps push heads
     down uniquely.  Requires a finite group at the deep level.
     """
-    lvl = t.stable_index + extra
+    lvl = t.stable_index + 3
     g = t.group(lvl)
     if not g.is_finite():
         raise ValueError("thread enumeration needs a finite deep level")
@@ -307,13 +307,12 @@ def random_walker_index(rng: random.Random, ctx: wk.WalkerContext) -> list[Ordin
     return found
 
 
-def random_walker_element(
-    rng: random.Random, ctx: wk.WalkerContext, max_support: int = 8
-) -> wk.WalkerElement:
+def random_walker_element(rng: random.Random, ctx: wk.WalkerContext) -> wk.WalkerElement:
+    """A raw element of at most 8 terms, each coefficient within p^4 of 0."""
     bound = ctx.p**4
     terms = [
         (random_walker_index(rng, ctx), rng.randint(-bound, bound))
-        for _ in range(rng.randint(0, max_support))
+        for _ in range(rng.randint(0, 8))
     ]
     return ctx.element(terms)
 
@@ -463,7 +462,7 @@ def criterion_finite_ml(rng: random.Random, trials: int) -> tuple[bool, str]:
             return False, f"tower {t} did not stabilize: {tw}"
         if rep.lim1_status.kind != "zero":
             return False, f"tower {t} lim1 not zero"
-        oracle = thread_limit_oracle(tw, extra=3)
+        oracle = thread_limit_oracle(tw)
         if rep.lim != oracle:
             return False, f"tower {t}: lim {rep.lim} but thread oracle {oracle}"
     return True, f"{trials} finite towers: stabilized, lim matches threads"
@@ -638,7 +637,7 @@ def criterion_walker_normal_form(rng: random.Random, trials: int) -> tuple[bool,
             for _ in range(rng.randint(0, 3)):
                 r = wk.relation_element(ctx, random_walker_index(rng, ctx))
                 c = rng.randint(-3, 3)
-                raw_terms = list(shifted.support) + [(k, c * v) for k, v in r.element.support]
+                raw_terms = list(shifted.support) + [(k, c * v) for k, v in r.support]
                 shifted = ctx.element(raw_terms)
             if wk.normalize(shifted) != nx:
                 return False, f"relation invariance fails at p={p}, trial {t}"
@@ -837,7 +836,7 @@ def paper_examples_suite() -> list[CheckResult]:
     ]
     combo = ctx3.zero()
     for i, r in enumerate(rels):
-        combo = wk.add(combo, wk.scalar_mul(2 * i + 1, r.element))
+        combo = wk.add(combo, wk.scalar_mul(2 * i + 1, r))
     out.append(_scenario("walker-relations-p3", "relation combos vanish; basis classes do not", {
         "relation combos vanish": wk.in_relations(combo),
         "basis class e[3] nonzero": not wk.in_relations(ctx3.basis([parse_ordinal("3")])),
@@ -852,11 +851,6 @@ def paper_examples_suite() -> list[CheckResult]:
     return out
 
 
-def property_suite(seed: int = 0) -> list[CheckResult]:
-    """The randomized property corpus at a fixed seed."""
-    return criteria_suite("property-suite", seed)
-
-
 def criteria_suite(suite: str, seed: int) -> list[CheckResult]:
     """Each row of CRITERIA that gives `suite` a scale, run at that scale."""
     return [c.run(suite, seed) for c in CRITERIA if suite in c.trials]
@@ -865,7 +859,7 @@ def criteria_suite(suite: str, seed: int) -> list[CheckResult]:
 # Each named suite, run at a seed; the fixed corpus ignores it.
 SUITES = {
     "paper-examples": lambda seed: paper_examples_suite(),
-    "property-suite": property_suite,
+    "property-suite": lambda seed: criteria_suite("property-suite", seed),
     "acceptance": lambda seed: criteria_suite("acceptance", seed),
 }
 

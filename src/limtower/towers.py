@@ -783,13 +783,14 @@ def truncated_constant_tower(group: FgAbGroup, n: int) -> Tower:
     return Tower(groups, maps, ZeroTail())
 
 
-def _truncated_morphism_tuples(a: FgAbGroup, n: int, s: Tower, cap: int = 2_000_000):
+def _truncated_morphism_tuples(a: FgAbGroup, n: int, s: Tower):
     """All tower morphisms from the n-truncated constant tower on A into S,
     as tuples of level maps (phi_0, ..., phi_n).
 
     Honest enumeration: candidates are filtered by the naturality squares,
     not reconstructed from the deepest level.  The filter prunes hard, so
-    the cap counts visited candidates rather than the raw product size.
+    the cap of 2,000,000 counts visited candidates rather than the raw
+    product size.
     """
     hom_sets = [list(enumerate_homs(a, s.group(i))) for i in range(n + 1)]
     out = []
@@ -803,7 +804,7 @@ def _truncated_morphism_tuples(a: FgAbGroup, n: int, s: Tower, cap: int = 2_000_
             return
         for phi in hom_sets[i]:
             visited += 1
-            if visited > cap:
+            if visited > 2_000_000:
                 raise ValueError("hom-set enumeration exceeds cap")
             # source maps are identities below the truncation, so naturality
             # says exactly phi_{i-1} = f_{i-1} . phi_i

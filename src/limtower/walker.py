@@ -118,12 +118,6 @@ class WalkerElement:
     def is_zero(self) -> bool:
         return not self.support
 
-    def coefficient(self, idx: DegLexIndex) -> int:
-        for k, v in self.support:
-            if k == idx:
-                return v
-        return 0
-
     def leading_index(self) -> DegLexIndex | None:
         """The deg-lex largest position in the support, None for 0."""
         return self.support[0][0] if self.support else None
@@ -189,21 +183,13 @@ def in_relations(x: WalkerElement) -> bool:
     return normalize(x).is_zero()
 
 
-@dataclass(frozen=True)
-class RelationElement:
-    """A generating relation r_sigma, packaged with its raw combination."""
-
-    sigma: DegLexIndex
-    element: WalkerElement
-
-
-def relation_element(ctx: WalkerContext, entries) -> RelationElement:
-    """r_sigma = p*e_sigma for length 1, p*e_sigma - e_tail for length >= 2."""
+def relation_element(ctx: WalkerContext, entries) -> WalkerElement:
+    """The raw relation r_sigma = p*e_sigma for length 1, p*e_sigma - e_tail for length >= 2."""
     sigma = ctx.index(entries)
     terms = [(sigma, ctx.p)]
     if len(sigma) >= 2:
         terms.append((sigma.tail(), -1))
-    return RelationElement(sigma, ctx.element(terms))
+    return ctx.element(terms)
 
 
 def height(x: WalkerElement) -> OrdinalCNF:

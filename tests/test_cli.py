@@ -12,7 +12,7 @@ import pytest
 
 import limtower
 from limtower.cli import main
-from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, image, mat_mul, multiplication_map
+from limtower.groups import FgAbGroup, GroupMap, fg_group, identity_map, image, kernel, mat_mul, multiplication_map
 from limtower.ordinals import parse_ordinal
 from limtower.serialize import (
     SCHEMA_VERSION,
@@ -516,10 +516,12 @@ class TestCli:
         [
             # Z/6 by 2: the stable endomorphism of Z/3 is given itself as its kernel
             (6, "limtower.towers.kernel", image, "surjective endomorphism with kernel on a f.g. group"),
+            # Z/6 by 2: the image of the stable endomorphism of Z/3 is read as its trivial kernel
+            (6, "limtower.towers.image", kernel, "stable image is not epimorphic; stabilization logic is broken"),
             # Z/4 by 2 is local, and its limit is read as Z/2
             (4, "limtower.towers.Filtration.lim", property(lambda self: fg_group(2)), "local tower must have lim = lim1 = 0"),
         ],
-        ids=["kernel-on-the-stable-stage", "local-tower-with-a-limit"],
+        ids=["kernel-on-the-stable-stage", "image-of-the-stable-stage", "local-tower-with-a-limit"],
     )
     def test_broken_limit_check_inside_analyze_exit_three(self, tmp_path, monkeypatch, capsys, n, target, wrong, message):
         monkeypatch.setattr(target, wrong)

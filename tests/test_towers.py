@@ -62,8 +62,8 @@ from limtower.towers import _decimal, _full_stage, _image_stages, _prime_to_m_pa
 from limtower.suites import (
     behind_finite_front,
     corpus_towers,
+    criteria_suite,
     paper_examples_suite,
-    property_suite,
     random_decidable_tower,
     random_finite_group,
     random_finite_tower,
@@ -690,6 +690,7 @@ class TestStatuses:
             rep = analyze(t)
             assert rep.ml_status.kind == ml
             assert rep.lim1_status.kind == l1
+            assert str(rep.lim1_status) == ("Zero" if l1 == "zero" else f"NonZero({rep.ml_status.witness})")
             assert rep.is_local() is loc
             assert str(rep.length.value) == ln
 
@@ -718,6 +719,7 @@ class TestStatuses:
         rep = analyze(t, horizon=5)
         assert rep.ml_status.kind == "unknown"
         assert rep.lim1_status.kind == "unknown"
+        assert str(rep.lim1_status) == "Unknown(no stabilization within horizon 5)"
         assert rep.is_local() is None
         rep_full = analyze(t, horizon=64)
         assert rep_full.ml_status.kind == "stabilized"
@@ -771,6 +773,22 @@ class TestDecomposition:
         assert is_epimorphic_tower(d.epimorphic_part)
         assert is_null_tower(d.limitless.tower)
         assert d.limitless.tower.group(0) == fg_group(2)
+
+    @pytest.mark.parametrize(
+        "name, wrong, message",
+        [
+            ("is_epimorphic_tower", lambda t: False, "stable image tower must be epimorphic"),
+            # L is stabilized as the constant Z/2 tower, whose limit is Z/2
+            ("stabilize", lambda s, horizon: stabilize(constant_tower(fg_group(2)), horizon),
+             "quotient by the stable image must have trivial limit"),
+        ],
+        ids=["epimorphic-part-not-epimorphic", "limitless-part-with-a-limit"],
+    )
+    def test_broken_decomposition_check_raises(self, monkeypatch, name, wrong, message):
+        filt = stabilize(mult_tower(6, 2))
+        monkeypatch.setattr(towers_mod, name, wrong)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            filt.decompose()
 
     def test_never_stabilizing_split(self):
         t = multiplication_tower(fg_group(4, 0), 2)
@@ -833,7 +851,7 @@ class TestOnePassPerTower:
         assert all(c.passed for c in paper_examples_suite())
         assert len(passes) == 50
         passes.clear()
-        assert all(c.passed for c in property_suite(7))
+        assert all(c.passed for c in criteria_suite("property-suite", 7))
         assert len(passes) == 964
 
 

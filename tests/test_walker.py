@@ -114,7 +114,7 @@ class TestNormalize:
         ctx = WalkerContext(3, o("w"))
         x = ctx.element([([o("2")], -1)])
         nx = normalize(x)
-        assert nx.coefficient(DegLexIndex((o("2"),))) == 2
+        assert dict(nx.support)[DegLexIndex((o("2"),))] == 2
         assert format_element(nx) == "2*e[2]"
 
     def test_idempotent_random(self):
@@ -141,7 +141,7 @@ class TestNormalize:
         for _ in range(300):
             x = random_walker_element(rng, ctx)
             r = relation_element(ctx, [e for e in x.support[0][0].entries] if x.support else [o("0")])
-            shifted = ctx.element(list(x.support) + [(k, 2 * v) for k, v in r.element.support])
+            shifted = ctx.element(list(x.support) + [(k, 2 * v) for k, v in r.support])
             assert normalize(shifted) == normalize(x)
 
     def test_long_carry_chain(self):
@@ -227,7 +227,7 @@ class TestModuleOps:
         ctx = WalkerContext(3, o("w"))
         combo = ctx.zero()
         for sigma, c in ((([o("1")]), 4), (([o("0"), o("2")]), 2)):
-            combo = add(combo, scalar_mul(c, relation_element(ctx, sigma).element))
+            combo = add(combo, scalar_mul(c, relation_element(ctx, sigma)))
         assert in_relations(combo)
         assert not in_relations(ctx.basis([o("1")]))
 
@@ -305,9 +305,9 @@ class TestTextFormat:
         ctx = ctx23()
         assert parse_element(ctx, "0").is_zero()
         x = parse_element(ctx, "e[0, 1] + 2*e[w]")
-        assert x.coefficient(DegLexIndex((o("0"), o("1")))) == 1
+        assert dict(x.support)[DegLexIndex((o("0"), o("1")))] == 1
         y = parse_element(ctx, "3 * e[w + 1] - e[2]")
-        assert y.coefficient(DegLexIndex((o("w+1"),))) == 3
+        assert dict(y.support)[DegLexIndex((o("w+1"),))] == 3
 
     def test_parse_rejects(self):
         ctx = ctx23()
